@@ -363,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--convention", choices=["cyclic-ghz", "angular"],
                         default="cyclic-ghz")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count (results are identical for any value); "
-                             "overridden by PICOPULSE_THREADS")
+                        help="reserved: validated (an integer >= 1, overridden by "
+                             "PICOPULSE_THREADS) but currently has no effect")
     return parser
 
 

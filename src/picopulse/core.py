@@ -37,6 +37,15 @@ KET_UP = np.array([0.0, 1.0], dtype=complex)
 KET_DD = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 KET_UU = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
 
+# Hamiltonians are linear in their coefficient rows, H = sum_k c_k OP_k, with
+# the -1/2 prefactor folded into the operators.  Qubit rows are (delta, eps);
+# register rows are (d1, d2, e1, e2, j), i.e. H0(d1, d2) + e1 X1 + e2 X2 + j XX.
+_OPERATORS = {
+    2: -0.5 * np.stack([SZ, SX]),
+    5: -0.5 * np.stack([np.kron(SZ, ID2), np.kron(ID2, SZ),
+                        np.kron(SX, ID2), np.kron(ID2, SX), np.kron(SX, SX)]),
+}
+
 
 def _as_complex_array(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=complex)
@@ -91,16 +100,26 @@ def check_density_matrix(rho, tol: float = 1e-10, eig_tol: float = 1e-8) -> np.n
     return rho
 
 
-def _require_finite(**scalars):
-    for name, v in scalars.items():
-        if not np.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+def hamiltonians(coeffs) -> np.ndarray:
+    """Stacked Hamiltonians from coefficient rows of shape ``(..., 2)`` or ``(..., 5)``.
+
+    A row ``(delta, eps)`` gives ``-1/2 (delta sigma_z + eps sigma_x)``; a row
+    ``(d1, d2, e1, e2, j)`` gives the register Hamiltonian.  The result has
+    shape ``(..., d, d)``.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    ops = _OPERATORS.get(c.shape[-1] if c.ndim else 0)
+    if ops is None:
+        raise ValueError(f"coefficient rows must have length 2 or 5, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"Hamiltonian coefficients must be finite, got {c!r}")
+    n, d, _ = ops.shape
+    return (c @ ops.reshape(n, d * d)).reshape(c.shape[:-1] + (d, d))
 
 
 def make_single_qubit_hamiltonian(delta: float, epsilon: float) -> np.ndarray:
     """``H = -1/2 (Delta sigma_z + eps sigma_x)``; entry [0,0] is -Delta/2."""
-    _require_finite(delta=delta, epsilon=epsilon)
-    return -0.5 * (delta * SZ + epsilon * SX)
+    return hamiltonians((delta, epsilon))
 
 
 def make_two_qubit_hamiltonian(d1: float, d2: float, e1: float, e2: float,
@@ -110,11 +129,7 @@ def make_two_qubit_hamiltonian(d1: float, d2: float, e1: float, e2: float,
     Equals ``H1 (x) I + I (x) H2 - 1/2 J sigma_x (x) sigma_x`` with qubit 1
     on the left Kronecker factor; the overall -1/2 prefactor is kept.
     """
-    _require_finite(d1=d1, d2=d2, e1=e1, e2=e2, j=j)
-    h1 = make_single_qubit_hamiltonian(d1, e1)
-    h2 = make_single_qubit_hamiltonian(d2, e2)
-    return (np.kron(h1, ID2) + np.kron(ID2, h2)
-            - 0.5 * j * np.kron(SX, SX))
+    return hamiltonians((d1, d2, e1, e2, j))
 
 
 def state_fidelity(a, b) -> float:
@@ -156,3 +171,13 @@ def hermitian_eigendecomposition(h, tol: float = 1e-10):
     h = check_hermitian(h, tol=max(tol, 1e-12))
     vals, vecs = np.linalg.eigh(h)
     return vals, vecs
+
+
+def spectral_propagators(vals, vecs, t) -> np.ndarray:
+    """``exp(-i H t) = V diag(exp(-i lambda t)) V^dag`` from an eigendecomposition.
+
+    Broadcasts over leading axes: ``vals`` has shape ``(..., d)``, ``vecs``
+    ``(..., d, d)`` and ``t`` is a scalar or has shape ``(...)``.
+    """
+    phases = np.exp(-1j * vals * np.asarray(t, dtype=float)[..., None])
+    return (vecs * phases[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))

@@ -1,9 +1,14 @@
 """Numerical propagation over piecewise-constant control schedules.
 
-The normative propagator exponentiates each constant segment exactly through
-the eigendecomposition of its Hamiltonian, which is exact for
-piecewise-constant controls.  A classic 4th-order explicit stepper is kept as
-an independent cross-check (deliberately without renormalization), and a
+One batched core serves every closed-system result.  A schedule yields its
+segment Hamiltonians as one ``(n_seg, d, d)`` stack, a single stacked
+``eigh`` diagonalizes them, and :func:`picopulse.core.spectral_propagators`
+turns the eigensystems into exact segment propagators, which is exact for
+piecewise-constant controls.  :func:`evolve_unitary` multiplies them in
+order; :func:`sample_states` (behind :func:`evolve_state` and
+``protocols.populations_at``) evolves each sample time from the state at the
+start of its segment.  A classic 4th-order explicit stepper is kept as an
+independent cross-check (deliberately without renormalization), and a
 cosine-driven lab-frame integrator covers the one genuinely time-dependent
 case.  Open-system evolution integrates the master equation
 
@@ -12,13 +17,14 @@ case.  Open-system evolution integrates the master equation
 
 with s+ = |1><0|, so the relaxation channel drives |1> -> |0>.  Temperature
 effects are neglected and the dissipators act at all times, including during
-pulses.
+pulses.  Its superoperator is not normal, so each segment is exponentiated
+with ``scipy.linalg.expm`` rather than through an eigendecomposition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -30,9 +36,14 @@ from .core import (
     SZ,
     check_density_matrix,
     check_state,
+    hamiltonians,
     make_single_qubit_hamiltonian,
     make_two_qubit_hamiltonian,
+    spectral_propagators,
 )
+
+#: a sample time at most this far (ns) past a segment end is taken from that segment
+BOUNDARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -79,9 +90,21 @@ class Schedule:
         return make_two_qubit_hamiltonian(self.delta1, self.delta2,
                                           seg.e1, seg.e2, seg.j)
 
+    def hamiltonians(self) -> np.ndarray:
+        """All segment Hamiltonians as one ``(n_seg, d, d)`` stack."""
+        if self.dimension == 2:
+            rows = [(self.delta1, s.e1) for s in self.segments]
+            return hamiltonians(np.array(rows, dtype=float).reshape(-1, 2))
+        rows = [(self.delta1, self.delta2, s.e1, s.e2, s.j) for s in self.segments]
+        return hamiltonians(np.array(rows, dtype=float).reshape(-1, 5))
+
+    def durations(self) -> np.ndarray:
+        """Segment durations as one array."""
+        return np.array([s.duration for s in self.segments], dtype=float)
+
     def boundaries(self) -> np.ndarray:
         """Cumulative segment end times, starting at 0."""
-        return np.concatenate([[0.0], np.cumsum([s.duration for s in self.segments])])
+        return np.concatenate([[0.0], np.cumsum(self.durations())])
 
 
 @dataclass(frozen=True)
@@ -120,17 +143,49 @@ class LindbladParams:
             raise ValueError("relaxation rates must be >= 0")
 
 
-def _segment_propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * dt)) @ vecs.conj().T
+def _segment_propagators(schedule: Schedule):
+    """One stacked ``eigh`` over all segments: eigenvalues, eigenvectors and
+    the exact propagators exp(-i H_seg dt_seg)."""
+    vals, vecs = np.linalg.eigh(schedule.hamiltonians())
+    return vals, vecs, spectral_propagators(vals, vecs, schedule.durations())
 
 
 def evolve_unitary(schedule: Schedule) -> np.ndarray:
     """Ordered product of exact per-segment propagators exp(-i H_seg dt_seg)."""
-    u = np.eye(schedule.dimension, dtype=complex)
-    for seg in schedule.segments:
-        u = _segment_propagator(schedule.hamiltonian(seg), seg.duration) @ u
-    return u
+    _, _, steps = _segment_propagators(schedule)
+    if len(steps) == 0:
+        return np.eye(schedule.dimension, dtype=complex)
+    # pairwise products keep the order: (U1 U0), (U3 U2), ... then pairs of those
+    while len(steps) > 1:
+        pairs = steps[1::2] @ steps[:-1:2]
+        steps = np.concatenate([pairs, steps[-1:]]) if len(steps) % 2 else pairs
+    return steps[0]
+
+
+def sample_states(schedule: Schedule, psi0, times) -> np.ndarray:
+    """States at arbitrary sample times (any order), shape ``(len(times), d)``.
+
+    A time is evolved from the state at the start of the first segment that
+    ends at or after it (within ``BOUNDARY_TOL``), so a time on a boundary is
+    the end of the earlier segment.  Times before 0 give ``psi0``; times past
+    the end give the final state.
+    """
+    times = np.asarray(times, dtype=float)
+    bounds = schedule.boundaries()
+    n = len(schedule.segments)
+    vals, vecs, steps = _segment_propagators(schedule)
+    starts = np.empty((n + 1, schedule.dimension), dtype=complex)
+    starts[0] = psi0
+    for k in range(n):
+        starts[k + 1] = steps[k] @ starts[k]
+    seg = np.searchsorted(bounds[1:] + BOUNDARY_TOL, times)
+    states = starts[seg]  # seg == n past the end: the final state
+    inside = seg < n
+    k = seg[inside]
+    dt = np.maximum(times[inside] - bounds[k], 0.0)
+    states[inside] = (spectral_propagators(vals[k], vecs[k], dt)
+                      @ starts[k][:, :, None])[:, :, 0]
+    return states
 
 
 def _sample_grid(schedule: Schedule, sample_dt: float) -> np.ndarray:
@@ -148,28 +203,7 @@ def evolve_state(schedule: Schedule, psi0, sample_dt: float) -> Trajectory:
     if psi.shape[0] != schedule.dimension:
         raise ValueError("initial state dimension does not match the schedule")
     times = _sample_grid(schedule, sample_dt)
-    states = np.empty((len(times), schedule.dimension), dtype=complex)
-    bounds = schedule.boundaries()
-    idx = 0
-    for k, seg in enumerate(schedule.segments):
-        t0, t1 = bounds[k], bounds[k + 1]
-        vals, vecs = np.linalg.eigh(schedule.hamiltonian(seg))
-        coef = vecs.conj().T @ psi
-        while idx < len(times) and times[idx] <= t1 + 1e-15:
-            dt = times[idx] - t0
-            states[idx] = vecs @ (np.exp(-1j * vals * dt) * coef)
-            idx += 1
-        psi = vecs @ (np.exp(-1j * vals * (t1 - t0)) * coef)
-    while idx < len(times):  # trailing duplicates of the final boundary
-        states[idx] = psi
-        idx += 1
-    if not schedule.segments:
-        states[:] = psi
-    return Trajectory(times=times, states=states)
-
-
-def _spectral_norm(h: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    return Trajectory(times=times, states=sample_states(schedule, psi, times))
 
 
 def _rk4_step(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
@@ -188,15 +222,14 @@ def evolve_state_stepper(schedule: Schedule, psi0, dt: float) -> Trajectory:
     rejected unless dt <= 0.01 / max ||H_seg||.
     """
     psi = check_state(psi0).copy()
-    hmax = max((_spectral_norm(schedule.hamiltonian(s)) for s in schedule.segments),
-               default=0.0)
+    hams = schedule.hamiltonians()
+    hmax = float(np.max(np.abs(np.linalg.eigvalsh(hams)), initial=0.0))
     if hmax > 0 and dt > 0.01 / hmax:
         raise ValueError(f"dt = {dt:.3g} too large; need dt <= {0.01 / hmax:.3g}")
     times = [0.0]
     states = [psi.copy()]
     t = 0.0
-    for seg in schedule.segments:
-        h = schedule.hamiltonian(seg)
+    for seg, h in zip(schedule.segments, hams):
         nsteps = max(1, int(math.ceil(seg.duration / dt)))
         hstep = seg.duration / nsteps
         for _ in range(nsteps):
@@ -243,17 +276,26 @@ def evolve_driven_cosine(amplitude: float, omega: float, delta: float, tau: floa
     return Trajectory(times=times, states=states)
 
 
+_RELAXATION = (np.kron(SIGMA_MINUS, SIGMA_PLUS.T)
+               - 0.5 * (np.kron(SIGMA_PLUS @ SIGMA_MINUS, ID2)
+                        + np.kron(ID2, (SIGMA_PLUS @ SIGMA_MINUS).T)))
+_DEPHASING = np.kron(SZ, SZ.T) - np.eye(4)
+
+
 def lindblad_superoperator(h: np.ndarray, lp: LindbladParams) -> np.ndarray:
-    """Row-major-vec superoperator of the master equation for constant H."""
-    eye = ID2
+    """Row-major-vec superoperator of the master equation for constant H.
+
+    ``h`` may be one 2x2 Hamiltonian or a stack ``(..., 2, 2)``.
+    """
+    h = np.asarray(h, dtype=complex)
     # i[rho, H] = i (rho H - H rho);  vec(A rho B) = (A kron B^T) vec(rho)
-    lop = 1j * (np.kron(eye, h.T) - np.kron(h, eye))
+    rho_h = np.einsum("ac,...db->...abcd", ID2, h)
+    h_rho = np.einsum("...ac,bd->...abcd", h, ID2)
+    lop = 1j * (rho_h - h_rho).reshape(h.shape[:-2] + (4, 4))
     if lp.gamma:
-        n_op = SIGMA_PLUS @ SIGMA_MINUS  # |1><1|
-        lop += lp.gamma * (np.kron(SIGMA_MINUS, SIGMA_PLUS.T)
-                           - 0.5 * (np.kron(n_op, eye) + np.kron(eye, n_op.T)))
+        lop += lp.gamma * _RELAXATION
     if lp.gamma_phi:
-        lop += lp.gamma_phi * (np.kron(SZ, SZ.T) - np.eye(4))
+        lop += lp.gamma_phi * _DEPHASING
     return lop
 
 
@@ -267,18 +309,20 @@ def evolve_lindblad(schedule: Schedule, rho0, lp: LindbladParams,
     states = np.empty((len(times), 2, 2), dtype=complex)
     bounds = schedule.boundaries()
     idx = 0
-    for k, seg in enumerate(schedule.segments):
+    for k, lop in enumerate(lindblad_superoperator(schedule.hamiltonians(), lp)):
         t0, t1 = bounds[k], bounds[k + 1]
-        lop = lindblad_superoperator(schedule.hamiltonian(seg), lp)
         vec0 = rho.reshape(4)
-        while idx < len(times) and times[idx] <= t1 + 1e-15:
+        end = scipy.linalg.expm(lop * (t1 - t0)) @ vec0
+        while idx < len(times) and times[idx] <= t1 + BOUNDARY_TOL:
             dt = times[idx] - t0
-            states[idx] = (scipy.linalg.expm(lop * dt) @ vec0).reshape(2, 2)
+            if dt == 0.0:
+                vec = vec0
+            elif dt == t1 - t0:
+                vec = end
+            else:
+                vec = scipy.linalg.expm(lop * dt) @ vec0
+            states[idx] = vec.reshape(2, 2)
             idx += 1
-        rho = (scipy.linalg.expm(lop * (t1 - t0)) @ vec0).reshape(2, 2)
-    while idx < len(times):
-        states[idx] = rho
-        idx += 1
-    if not schedule.segments:
-        states[:] = rho
+        rho = end.reshape(2, 2)
+    states[idx:] = rho  # times past the end, and every time of an empty schedule
     return Trajectory(times=times, states=states, kind="density")

@@ -213,7 +213,8 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
     damp_plus = 1.0 + 0.5 * alpha_x * dt
     damp_minus = 1.0 - 0.5 * alpha_x * dt
 
-    for step in range(nsteps):
+    step = 0
+    while step < nsteps:  # nsteps shrinks once the fluxon has exited
         lap = np.empty(n)
         lap[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx**2
         lap[0] = 2.0 * (phi[1] - phi[0]) / dx**2
@@ -234,6 +235,7 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
         phi_prev, phi = phi, phi_next
         if not np.all(np.isfinite(phi)):
             raise RuntimeError("sine-Gordon integration diverged")
+        step += 1
 
     if cfg.require_exit and not exited:
         raise FluxonStalled(

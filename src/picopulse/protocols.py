@@ -16,7 +16,14 @@ import numpy as np
 
 from . import analytic
 from .core import bloch_vector, gate_fidelity, state_fidelity
-from .dynamics import LindbladParams, Schedule, Segment, evolve_lindblad, evolve_state
+from .dynamics import (
+    LindbladParams,
+    Schedule,
+    Segment,
+    evolve_lindblad,
+    evolve_state,
+    sample_states,
+)
 
 
 @dataclass(frozen=True)
@@ -125,26 +132,7 @@ def populations_at(schedule: Schedule, psi0: np.ndarray, times: np.ndarray) -> n
 
     Times beyond the schedule end are clamped to the final state.
     """
-    times = np.asarray(times, dtype=float)
-    out = np.empty((len(times), schedule.dimension))
-    psi = np.asarray(psi0, dtype=complex)
-    bounds = schedule.boundaries()
-    order = np.argsort(times, kind="stable")
-    idx = 0
-    for k, seg in enumerate(schedule.segments):
-        t0, t1 = bounds[k], bounds[k + 1]
-        vals, vecs = np.linalg.eigh(schedule.hamiltonian(seg))
-        coef = vecs.conj().T @ psi
-        while idx < len(times) and times[order[idx]] <= t1 + 1e-12:
-            dt = max(times[order[idx]] - t0, 0.0)
-            st = vecs @ (np.exp(-1j * vals * dt) * coef)
-            out[order[idx]] = np.abs(st) ** 2
-            idx += 1
-        psi = vecs @ (np.exp(-1j * vals * (t1 - t0)) * coef)
-    while idx < len(times):
-        out[order[idx]] = np.abs(psi) ** 2
-        idx += 1
-    return out
+    return np.abs(sample_states(schedule, psi0, times)) ** 2
 
 
 def _ground(dimension: int) -> np.ndarray:

@@ -25,6 +25,7 @@ import numpy as np
 from .core import (
     hermitian_eigendecomposition,
     make_two_qubit_hamiltonian,
+    spectral_propagators,
 )
 
 #: hard limit on J*tau1 for the first-order kick matrix
@@ -125,8 +126,7 @@ def coupler_flip_probability(delta: float, j: float, tau: float,
 def spectral_evolution_unitary(h, t: float) -> np.ndarray:
     """``U = sum_k |v_k> exp(-i lambda_k t) <v_k|`` via eigendecomposition."""
     vals, vecs = hermitian_eigendecomposition(h)
-    phases = np.exp(-1j * vals * t)
-    return (vecs * phases) @ vecs.conj().T
+    return spectral_propagators(vals, vecs, t)
 
 
 def coupler_kick_unitary(j: float, tau1: float, delta: float = 0.0,
@@ -198,8 +198,7 @@ def drive_stage_unitary(delta: float, a1: float, a2: float, tau2: float) -> np.n
     if tau2 < 0:
         raise ValueError(f"tau2 must be >= 0, got {tau2}")
     vals, vecs = drive_stage_eigensystem(delta, a1, a2)
-    phases = np.exp(-1j * vals * tau2)
-    return (vecs * phases) @ vecs.conj().T
+    return spectral_propagators(vals, vecs, tau2)
 
 
 def three_stage_unitary(spec: ThreeStageSpec, delta: float,

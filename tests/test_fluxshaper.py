@@ -54,6 +54,16 @@ def test_topological_charge_conserved(default_run):
     assert result.charge_drift <= 1e-3
 
 
+def test_solve_stops_ten_time_units_after_exit(default_run):
+    cfg, result = default_run
+    exit_x = cfg.length - cfg.absorber_width - 2.0
+    gone = np.isnan(result.positions) | (result.positions >= exit_x)
+    t_exit = result.times[np.argmax(gone)]
+    frame = result.times[1] - result.times[0]
+    assert result.exited
+    assert result.times[-1] <= t_exit + 10.0 + frame
+
+
 def test_stalled_fluxon_raises():
     with pytest.raises(fs.FluxonStalled):
         fs.simulate_ljj_fluxon(fs.LJJConfig(i_b=1e-4, t_max=50.0))
