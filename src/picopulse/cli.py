@@ -7,10 +7,14 @@ deterministic function of the config content; exit codes are 0 on success,
 2 for config errors and 3 for numeric failures, and the tool never dumps a
 traceback to the shell.
 
-Frequencies and times in configs follow the selected unit convention
-(``cyclic-ghz``: GHz and ps; ``angular``: rad/ns and ns).  Keys starting with
-``delta``/``j``/``a``/``amp``/``gamma``/``omega`` are treated as frequencies
-and keys starting with ``tau``/``time``/``t_`` as times.
+Every config field a subcommand reads is listed once, with its unit, in the
+schemas below.  ``FREQ`` fields are frequencies and decay rates (GHz under the
+default ``cyclic-ghz`` convention, multiplied by 2*pi on reading; rad/ns and
+1/ns under ``angular``), ``TIME`` fields are times (ps or ns), and any other
+entry names the type of a unitless value.  A sweep's axis1 is a frequency and
+its axis2 a time in every kind; the axis ``name`` only labels the CSV.  A
+missing field or an unknown key, at any depth, is a config error.  Outputs are
+in rad/ns and ns.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,44 +40,106 @@ class ConfigError(ValueError):
     """The config file is malformed or violates the documented schema."""
 
 
-_FREQ_PREFIXES = ("delta", "j", "a", "amp", "gamma", "omega")
-_TIME_PREFIXES = ("tau", "time", "t_")
+FREQ = "frequency"
+TIME = "time"
 
 
-def _is_freq(name: str) -> bool:
-    return any(name.startswith(p) for p in _FREQ_PREFIXES)
+@dataclass(frozen=True)
+class Opt:
+    """An optional field: its unit and the value used when it is absent."""
+
+    unit: object
+    default: object  # already in internal units
 
 
-def _is_time(name: str) -> bool:
-    return any(name.startswith(p) for p in _TIME_PREFIXES)
+_AXIS1 = {"name": str, "start": FREQ, "stop": FREQ, "count": int}
+_AXIS2 = {"name": str, "start": TIME, "stop": TIME, "count": int}
+
+# sweep kind -> (runner, fixed fields)
+_SWEEPS = {
+    "single": (protocols.sweep_single_pulse, {"delta": FREQ, "tau": TIME}),
+    "pair": (protocols.sweep_pulse_pair,
+             {"delta": FREQ, "tau1": TIME, "tau2": TIME, "tau_r": TIME}),
+    "coupler": (protocols.sweep_coupler_pulse, {"delta": FREQ, "tau": TIME}),
+    "three-stage": (protocols.sweep_three_stage,
+                    {"delta": FREQ, "j": FREQ, "tau1": TIME}),
+    "register-pair": (protocols.sweep_register_pair,
+                      {"delta1": FREQ, "delta2": FREQ, "j": FREQ,
+                       "tau1": TIME, "tau2": TIME, "tau_r": TIME}),
+}
+
+_RAMSEY = {"amplitude": FREQ, "delta": FREQ, "tau": TIME,
+           "tau_r": {"start": TIME, "stop": TIME, "count": int}}
+_LINDBLAD = {**_RAMSEY, "gamma": FREQ, "gamma_phi": FREQ}
+
+_TARGET = {"kind": str, "name": Opt(str, None), "vector": Opt(list, None)}
+# calibration template type -> fields besides ``target``
+_TEMPLATES = {
+    "single-pulse": {"template": {"type": str, "delta": FREQ},
+                     "bounds": [[FREQ, FREQ], [TIME, TIME]], "seed": [FREQ, TIME],
+                     "tol": Opt(float, 1e-4), "budget": Opt(int, 4000)},
+    "shaped-demo": {"template": {"type": str, "delta": FREQ, "j": Opt(FREQ, 0.0)}},
+}
+
+# normalized circuit units, and internal units for the two scales: nothing is converted
+_SHAPE = {"ljj": Opt(fluxshaper.LJJConfig, fluxshaper.LJJConfig()),
+          "amp": Opt(fluxshaper.InterferometerConfig, fluxshaper.InterferometerConfig()),
+          "energy_scale": Opt(float, 1.0), "time_scale": Opt(float, 1.0),
+          "bias_sweep": Opt(list, None)}
+
+_DEMO = {"target": str, "delta": Opt(FREQ, math.tau * 0.25), "j": Opt(FREQ, 0.0)}
 
 
-def _convert_scalar(name: str, value: float, conv: UnitConvention) -> float:
-    if _is_freq(name):
-        return conv.frequency_in(value)
-    if _is_time(name):
-        return conv.time_in(value)
-    return value
+def _check_keys(raw, allowed, where: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown fields {unknown} in {where}")
 
 
-def _require(config: dict, field: str, where: str = "config"):
-    if field not in config:
-        raise ConfigError(f"missing field {field!r} in {where}")
-    return config[field]
+def _read(raw, schema: dict, conv: UnitConvention, where: str = "config") -> dict:
+    """Every field of ``schema`` read from ``raw`` and converted to internal units."""
+    _check_keys(raw, schema, where)
+    values = {}
+    for key, unit in schema.items():
+        if key in raw:
+            path = key if where == "config" else f"{where}.{key}"
+            values[key] = _convert(raw[key], unit.unit if isinstance(unit, Opt) else unit,
+                                   conv, path)
+        elif isinstance(unit, Opt):
+            values[key] = unit.default
+        else:
+            raise ConfigError(f"missing field {key!r} in {where}")
+    return values
 
 
-def _axis_from(config: dict, key: str, conv: UnitConvention) -> protocols.Axis:
-    raw = _require(config, key)
-    for f in ("name", "start", "stop", "count"):
-        _require(raw, f, where=key)
-    name = raw["name"]
+def _convert(value, unit, conv: UnitConvention, where: str):
+    if isinstance(unit, dict):
+        return _read(value, unit, conv, where)
+    if isinstance(unit, list):
+        if not isinstance(value, list) or len(value) != len(unit):
+            raise ConfigError(f"{where} must be a list of {len(unit)} items")
+        return [_convert(v, u, conv, f"{where}[{i}]")
+                for i, (v, u) in enumerate(zip(value, unit))]
+    if is_dataclass(unit):
+        _check_keys(value, [f.name for f in fields(unit)], where)
     try:
-        return protocols.Axis(name=name,
-                              start=_convert_scalar(name, float(raw["start"]), conv),
-                              stop=_convert_scalar(name, float(raw["stop"]), conv),
-                              count=int(raw["count"]))
-    except ValueError as exc:
-        raise ConfigError(f"invalid axis {key}: {exc}") from exc
+        if unit == FREQ:
+            return conv.frequency_in(float(value))
+        if unit == TIME:
+            return conv.time_in(float(value))
+        return unit(**value) if is_dataclass(unit) else unit(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+def _select(raw, key: str, table: dict, where: str) -> str:
+    """The value of the field that chooses the rest of the schema."""
+    value = raw.get(key) if isinstance(raw, dict) else None
+    if not isinstance(value, str) or value not in table:
+        raise ConfigError(f"{where} must be one of {sorted(table)}, got {value!r}")
+    return value
 
 
 def _write_csv(path: Path, comments: list[str], header: list[str],
@@ -84,22 +151,26 @@ def _write_csv(path: Path, comments: list[str], header: list[str],
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_json(path: Path, payload: dict) -> Path:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    return path
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_manifest(out: Path, command: str, config: dict, convention: str,
                     outputs: list[Path], wall_time: float) -> None:
-    manifest = {
+    _write_json(out / "manifest.json", {
         "command": command,
         "config": config,
         "convention": convention,
         "version": __version__,
         "wall_time_s": round(wall_time, 3),
         "outputs": [{"file": p.name, "sha256": _sha256(p)} for p in sorted(outputs)],
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
 
 
 def _grid_outputs(grids, names, out: Path, meta_extra: dict) -> list[Path]:
@@ -116,57 +187,43 @@ def _grid_outputs(grids, names, out: Path, meta_extra: dict) -> list[Path]:
     return written
 
 
+def _calibration_json(result, **extra) -> dict:
+    return {"params": [float(v) for v in result.params], "fidelity": result.fidelity,
+            "iterations": result.iterations, "converged": result.converged, **extra}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_sweep(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
-    kind = _require(config, "kind")
-    fixed = {k: _convert_scalar(k, float(v), conv)
-             for k, v in _require(config, "fixed").items()}
-    spec = protocols.SweepSpec(axis1=_axis_from(config, "axis1", conv),
-                               axis2=_axis_from(config, "axis2", conv),
-                               fixed=fixed,
-                               observable=int(config.get("observable", 0)))
-    runners = {
-        "single": protocols.sweep_single_pulse,
-        "pair": protocols.sweep_pulse_pair,
-        "coupler": protocols.sweep_coupler_pulse,
-        "three-stage": protocols.sweep_three_stage,
-    }
-    try:
-        if kind == "register-pair":
-            grids = protocols.sweep_register_pair(spec)
-            names = [f"grid_basis{i}" for i in range(4)]
-        elif kind in runners:
-            grids = [runners[kind](spec)]
-            names = ["grid"]
-        else:
-            raise ConfigError(f"unknown sweep kind {kind!r}; expected one of "
-                              "single, pair, coupler, three-stage, register-pair")
-    except KeyError as exc:
-        raise ConfigError(f"missing field {exc.args[0]!r} in fixed") from exc
+    kind = _select(config, "kind", _SWEEPS, "sweep kind")
+    runner, fixed = _SWEEPS[kind]
+    cfg = _read(config, {"kind": str, "axis1": _AXIS1, "axis2": _AXIS2,
+                         "fixed": fixed, "observable": Opt(int, 0)}, conv)
+    grids = runner(protocols.SweepSpec(axis1=protocols.Axis(**cfg["axis1"]),
+                                       axis2=protocols.Axis(**cfg["axis2"]),
+                                       fixed=cfg["fixed"],
+                                       observable=cfg["observable"]))
+    if isinstance(grids, tuple):
+        names = [f"grid_basis{i}" for i in range(len(grids))]
+    else:
+        grids, names = [grids], ["grid"]
     return _grid_outputs(grids, names, out, {"kind": kind})
 
 
-def _delay_values(config: dict, conv: UnitConvention) -> np.ndarray:
-    raw = _require(config, "tau_r")
-    for f in ("start", "stop", "count"):
-        _require(raw, f, where="tau_r")
-    start = conv.time_in(float(raw["start"]))
-    stop = conv.time_in(float(raw["stop"]))
-    count = int(raw["count"])
-    if count < 2 or not start < stop:
+def _delay_scan(config: dict, schema: dict, conv: UnitConvention):
+    cfg = _read(config, schema, conv)
+    r = cfg["tau_r"]
+    if r["count"] < 2 or not r["start"] < r["stop"]:
         raise ConfigError("tau_r range needs start < stop and count >= 2")
-    return np.linspace(start, stop, count)
+    return cfg, np.linspace(r["start"], r["stop"], r["count"])
 
 
 def cmd_ramsey(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
-    amplitude = conv.frequency_in(float(_require(config, "amplitude")))
-    delta = conv.frequency_in(float(_require(config, "delta")))
-    tau = conv.time_in(float(_require(config, "tau")))
-    rows = protocols.ramsey_delay_scan(amplitude, delta, tau,
-                                       _delay_values(config, conv))
+    cfg, delays = _delay_scan(config, _RAMSEY, conv)
+    amplitude, delta, tau = cfg["amplitude"], cfg["delta"], cfg["tau"]
+    rows = protocols.ramsey_delay_scan(amplitude, delta, tau, delays)
     path = out / "ramsey.csv"
     _write_csv(path,
                [f"amplitude = {amplitude} rad/ns", f"delta = {delta} rad/ns",
@@ -176,16 +233,10 @@ def cmd_ramsey(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
 
 
 def cmd_lindblad(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
-    amplitude = conv.frequency_in(float(_require(config, "amplitude")))
-    delta = conv.frequency_in(float(_require(config, "delta")))
-    tau = conv.time_in(float(_require(config, "tau")))
-    try:
-        lp = LindbladParams(gamma=conv.frequency_in(float(_require(config, "gamma"))),
-                            gamma_phi=conv.frequency_in(float(_require(config, "gamma_phi"))))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = protocols.lindblad_ramsey_scan(amplitude, delta, tau,
-                                          _delay_values(config, conv), lp)
+    cfg, delays = _delay_scan(config, _LINDBLAD, conv)
+    amplitude, delta, tau = cfg["amplitude"], cfg["delta"], cfg["tau"]
+    lp = LindbladParams(gamma=cfg["gamma"], gamma_phi=cfg["gamma_phi"])
+    rows = protocols.lindblad_ramsey_scan(amplitude, delta, tau, delays, lp)
     path = out / "lindblad.csv"
     _write_csv(path,
                [f"amplitude = {amplitude} rad/ns", f"delta = {delta} rad/ns",
@@ -195,114 +246,65 @@ def cmd_lindblad(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
     return [path]
 
 
-def _calibration_target(config: dict):
-    raw = _require(config, "target")
-    kind = _require(raw, "kind", where="target")
-    if kind != "state":
-        raise ConfigError(f"unsupported target kind {kind!r}; only 'state' "
+def _calibration_target(raw: dict):
+    if raw["kind"] != "state":
+        raise ConfigError(f"unsupported target kind {raw['kind']!r}; only 'state' "
                           "targets are accepted from configs")
-    if "name" in raw:
+    if raw["name"] is not None:
         named = {"flip": np.array([0.0, 1.0], dtype=complex),
                  "inversion": fluxshaper.target_state("inversion"),
                  "entangled": fluxshaper.target_state("entangled")}
         if raw["name"] not in named:
             raise ConfigError(f"unknown target name {raw['name']!r}")
         return ("state", named[raw["name"]])
+    if raw["vector"] is None:
+        raise ConfigError("missing field 'vector' in target")
     vector = np.array([complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-                       for v in _require(raw, "vector", where="target")])
+                       for v in raw["vector"]])
     return ("state", vector / np.linalg.norm(vector))
 
 
 def cmd_calibrate(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
-    target = _calibration_target(config)
-    template_cfg = _require(config, "template")
-    ttype = _require(template_cfg, "type", where="template")
-    delta = conv.frequency_in(float(_require(template_cfg, "delta", where="template")))
+    ttype = _select(config.get("template"), "type", _TEMPLATES, "template type")
+    cfg = _read(config, {"target": _TARGET, **_TEMPLATES[ttype]}, conv)
+    target = _calibration_target(cfg["target"])
+    delta = cfg["template"]["delta"]
 
-    if ttype == "single-pulse":
+    if ttype == "shaped-demo":
+        name = cfg["target"]["name"]
+        if name is None:
+            raise ConfigError("missing field 'name' in target")
+        result = fluxshaper.end_to_end_demo(name, delta=delta, j=cfg["template"]["j"])
+        payload = _calibration_json(result, target=name)
+    else:
         def template(p):
             return protocols.single_pulse_schedule(p[0], p[1], delta)
-    elif ttype == "shaped-demo":
-        name = _require(config["target"], "name", where="target")
-        j = conv.frequency_in(float(template_cfg.get("j", 0.0)))
-        result = fluxshaper.end_to_end_demo(name, delta=delta, j=j)
-        path = out / "calibration.json"
-        path.write_text(json.dumps({
-            "params": [float(v) for v in result.params],
-            "fidelity": result.fidelity,
-            "converged": result.converged,
-            "target": name,
-        }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return [path]
-    else:
-        raise ConfigError(f"unknown template type {ttype!r}")
 
-    bounds = [(float(lo), float(hi)) for lo, hi in _require(config, "bounds")]
-    seed = [float(v) for v in _require(config, "seed")]
-    result = protocols.calibrate_pulse(
-        target, template, bounds, seed,
-        tol=float(config.get("tol", 1e-4)),
-        budget=int(config.get("budget", 4000)))
-    path = out / "calibration.json"
-    path.write_text(json.dumps({
-        "params": [float(v) for v in result.params],
-        "fidelity": result.fidelity,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return [path]
-
-
-def _ljj_from(config: dict) -> fluxshaper.LJJConfig:
-    allowed = {f for f in fluxshaper.LJJConfig.__dataclass_fields__}
-    raw = config.get("ljj", {})
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown ljj fields: {sorted(unknown)}")
-    try:
-        return fluxshaper.LJJConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid ljj config: {exc}") from exc
-
-
-def _amp_from(config: dict) -> fluxshaper.InterferometerConfig:
-    allowed = {f for f in fluxshaper.InterferometerConfig.__dataclass_fields__}
-    raw = config.get("amp", {})
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown amp fields: {sorted(unknown)}")
-    try:
-        return fluxshaper.InterferometerConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid amp config: {exc}") from exc
+        result = protocols.calibrate_pulse(target, template, cfg["bounds"], cfg["seed"],
+                                           tol=cfg["tol"], budget=cfg["budget"])
+        payload = _calibration_json(result)
+    return [_write_json(out / "calibration.json", payload)]
 
 
 def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
-    ljj = _ljj_from(config)
-    amp = _amp_from(config)
-    energy_scale = float(config.get("energy_scale", 1.0))
-    time_scale = float(config.get("time_scale", 1.0))
-    written = []
-
-    wave = fluxshaper.shape_control_pulse(ljj, amp, energy_scale, time_scale)
+    cfg = _read(config, _SHAPE, conv)
+    ljj = cfg["ljj"]
+    wave = fluxshaper.shape_control_pulse(ljj, cfg["amp"], cfg["energy_scale"],
+                                          cfg["time_scale"])
     path = out / "waveform.csv"
     _write_csv(path, [f"stage = {wave.meta.get('stage')}",
                       f"config = {wave.meta.get('config')}"],
                ["t", "value"], np.column_stack([wave.times, wave.samples]))
-    written.append(path)
-
-    summary = {
+    written = [path, _write_json(out / "summary.json", {
         "duration": fluxshaper.plateau_duration(wave),
         "peak": fluxshaper.peak_amplitude(wave),
         "samples": len(wave.samples),
-    }
-    spath = out / "summary.json"
-    spath.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                     encoding="utf-8")
-    written.append(spath)
+        "velocity": wave.meta["velocity"],
+        "charge_drift": wave.meta["charge_drift"],
+    })]
 
-    if "bias_sweep" in config:
-        rows = fluxshaper.duration_vs_bias(ljj, [float(b) for b in config["bias_sweep"]])
+    if cfg["bias_sweep"] is not None:
+        rows = fluxshaper.duration_vs_bias(ljj, [float(b) for b in cfg["bias_sweep"]])
         dpath = out / "duration_vs_bias.csv"
         _write_csv(dpath, ["plateau duration of the loop-flux pulse"],
                    ["i_b", "duration"], rows)
@@ -311,23 +313,12 @@ def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
 
 
 def cmd_demo(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
-    name = _require(config, "target")
+    cfg = _read(config, _DEMO, conv)
+    name = cfg["target"]
     if name not in ("inversion", "entangled"):
         raise ConfigError(f"unknown demo target {name!r}")
-    delta = conv.frequency_in(float(config.get("delta", 0.25 if conv.mode == "cyclic-ghz"
-                                               else math.tau * 0.25)))
-    j = conv.frequency_in(float(config.get("j", 0.0)))
-    result = fluxshaper.end_to_end_demo(name, delta=delta, j=j)
-    written = []
-
-    path = out / "demo.json"
-    path.write_text(json.dumps({
-        "target": name,
-        "fidelity": result.fidelity,
-        "converged": result.converged,
-        "params": [float(v) for v in result.params],
-    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    written.append(path)
+    result = fluxshaper.end_to_end_demo(name, delta=cfg["delta"], j=cfg["j"])
+    written = [_write_json(out / "demo.json", _calibration_json(result, target=name))]
 
     traj = result.trajectory
     pops = traj.populations()
@@ -401,11 +392,8 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         outputs = _COMMANDS[args.command](config, out, conv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        # invalid physical parameters reaching a library constructor
+        # a ConfigError, or invalid physical parameters reaching a library constructor
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:

@@ -361,7 +361,8 @@ def shape_control_pulse(ljj: LJJConfig, amp: InterferometerConfig,
 
     ``energy_scale`` converts the normalized output current into an angular
     drive amplitude (rad/ns); ``time_scale`` converts one normalized time unit
-    into ns (set by the junction plasma frequency).
+    into ns (set by the junction plasma frequency).  The fluxon's ``velocity``
+    and ``charge_drift`` from the LJJ solve are handed out in ``meta``.
     """
     result = simulate_ljj_fluxon(ljj)
     loop = loop_flux_waveform(result, ljj)
@@ -369,7 +370,8 @@ def shape_control_pulse(ljj: LJJConfig, amp: InterferometerConfig,
     samples = energy_scale * amp.coupling * current.samples
     return Waveform(dt=current.dt * time_scale, samples=samples,
                     meta={"stage": "control", "config": _config_hash(ljj, amp),
-                          "energy_scale": energy_scale, "time_scale": time_scale})
+                          "energy_scale": energy_scale, "time_scale": time_scale,
+                          "velocity": result.velocity, "charge_drift": result.charge_drift})
 
 
 def duration_vs_bias(template: LJJConfig, biases) -> np.ndarray:
@@ -445,6 +447,7 @@ class DemoResult:
     fidelity: float
     params: np.ndarray          # (scale1, scale2, tail duration)
     converged: bool
+    iterations: int             # objective evaluations of the calibration
     schedule: Schedule
     waveform: Waveform
     trajectory: object          # dynamics.Trajectory over the final schedule
@@ -514,5 +517,6 @@ def end_to_end_demo(target: str, delta: float = math.tau * 0.25, j: float = 0.3,
     trajectory = evolve_state(schedule, np.array([1, 0, 0, 0], dtype=complex),
                               schedule.total_duration / 200.0)
     return DemoResult(target=target, fidelity=result.fidelity, params=result.params,
-                      converged=result.converged, schedule=schedule, waveform=wave,
+                      converged=result.converged, iterations=result.iterations,
+                      schedule=schedule, waveform=wave,
                       trajectory=trajectory)

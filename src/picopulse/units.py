@@ -32,10 +32,6 @@ def ps_to_ns(t_ps: float) -> float:
     return t_ps * 1e-3
 
 
-def ns_to_ps(t_ns: float) -> float:
-    return t_ns * 1e3
-
-
 @dataclass(frozen=True)
 class UnitConvention:
     """Input unit convention: ``cyclic-ghz`` (GHz, ps) or ``angular`` (rad/ns, ns)."""
@@ -52,18 +48,8 @@ class UnitConvention:
             return cyclic_ghz_to_angular(value)
         return value
 
-    def frequency_out(self, value: float) -> float:
-        if self.mode == CYCLIC_GHZ:
-            return angular_to_cyclic_ghz(value)
-        return value
-
     def time_in(self, value: float) -> float:
         """External time -> internal time (ns)."""
         if self.mode == CYCLIC_GHZ:
             return ps_to_ns(value)
-        return value
-
-    def time_out(self, value: float) -> float:
-        if self.mode == CYCLIC_GHZ:
-            return ns_to_ps(value)
         return value

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from picopulse.cli import main
+from picopulse.fluxshaper import power_balance_velocity
 
 
 
@@ -207,3 +209,132 @@ def test_demo_command(tmp_path):
     rows = load_csv(out / "trajectory.csv")
     assert rows.shape[1] == 5
     assert np.allclose(rows[:, 1:].sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_shape_summary_reports_fluxon_health(tmp_path):
+    rc, out = run(tmp_path, "shape", SHAPE_CFG, name="health.json")
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["velocity"] == pytest.approx(power_balance_velocity(0.2, 0.05), rel=0.05)
+    assert summary["charge_drift"] < 1e-2
+
+
+def both_conventions(spec):
+    """(cyclic, angular) configs from ``spec``, whose (value, unit) leaves are
+    GHz or ps values; angular values are 2*pi*f rad/ns and t*1e-3 ns."""
+    if isinstance(spec, dict):
+        pairs = {k: both_conventions(v) for k, v in spec.items()}
+        return ({k: c for k, (c, _) in pairs.items()},
+                {k: a for k, (_, a) in pairs.items()})
+    if isinstance(spec, tuple):
+        value, unit = spec
+        return value, (2 * math.pi * value if unit == "GHz" else value * 1e-3)
+    if isinstance(spec, list):
+        pairs = [both_conventions(v) for v in spec]
+        return [c for c, _ in pairs], [a for _, a in pairs]
+    return spec, spec
+
+
+def axis(name, start, stop, count, unit):
+    return {"name": name, "start": (start, unit), "stop": (stop, unit), "count": count}
+
+
+AMP_AXIS = axis("amplitude", 0.5, 20.0, 3, "GHz")
+TIME_AXIS = axis("time", 10.0, 3000.0, 4, "ps")
+DELTA, J = (0.25, "GHz"), (0.05, "GHz")
+
+CONVENTION_CASES = [
+    pytest.param("sweep", {"kind": "single", "axis1": AMP_AXIS, "axis2": TIME_AXIS,
+                           "fixed": {"delta": DELTA, "tau": (100.0, "ps")}},
+                 id="sweep-single"),
+    pytest.param("sweep", {"kind": "pair", "axis1": AMP_AXIS, "axis2": TIME_AXIS,
+                           "fixed": {"delta": DELTA, "tau1": (20.0, "ps"), "tau2": (20.0, "ps"),
+                                     "tau_r": (1000.0, "ps")}},
+                 id="sweep-pair"),
+    pytest.param("sweep", {"kind": "coupler", "axis1": axis("j", 0.01, 1.0, 3, "GHz"),
+                           "axis2": TIME_AXIS, "fixed": {"delta": DELTA, "tau": (2000.0, "ps")}},
+                 id="sweep-coupler"),
+    pytest.param("sweep", {"kind": "three-stage", "axis1": AMP_AXIS,
+                           "axis2": axis("tau2", 5.0, 150.0, 4, "ps"),
+                           "fixed": {"delta": DELTA, "j": (0.5, "GHz"), "tau1": (20.0, "ps")}},
+                 id="sweep-three-stage"),
+    pytest.param("sweep", {"kind": "register-pair", "axis1": AMP_AXIS, "axis2": TIME_AXIS,
+                           "fixed": {"delta1": DELTA, "delta2": (0.3, "GHz"), "j": J,
+                                     "tau1": (20.0, "ps"), "tau2": (20.0, "ps"),
+                                     "tau_r": (1000.0, "ps")}},
+                 id="sweep-register-pair"),
+    pytest.param("ramsey", {"amplitude": (25.0, "GHz"), "delta": DELTA, "tau": (10.0, "ps"),
+                            "tau_r": {"start": (0.0, "ps"), "stop": (8000.0, "ps"), "count": 6}},
+                 id="ramsey"),
+    pytest.param("lindblad", {"amplitude": (25.0, "GHz"), "delta": DELTA, "tau": (10.0, "ps"),
+                              "tau_r": {"start": (0.0, "ps"), "stop": (8000.0, "ps"), "count": 6},
+                              "gamma": (0.05, "GHz"), "gamma_phi": (0.1, "GHz")},
+                 id="lindblad"),
+    pytest.param("calibrate", {"target": {"kind": "state", "name": "flip"},
+                               "template": {"type": "single-pulse", "delta": DELTA},
+                               "bounds": [[(16.0, "GHz"), (64.0, "GHz")], [(5.0, "ps"), (40.0, "ps")]],
+                               "seed": [(25.0, "GHz"), (20.0, "ps")], "budget": 60},
+                 id="calibrate-single-pulse"),
+    pytest.param("shape", {"ljj": {"i_b": 0.2}, "amp": {"ic1": 0.7}, "bias_sweep": [0.3, 0.5]},
+                 id="shape"),
+    pytest.param("calibrate", {"target": {"kind": "state", "name": "inversion"},
+                               "template": {"type": "shaped-demo", "delta": DELTA, "j": J}},
+                 marks=pytest.mark.slow, id="calibrate-shaped-demo"),
+    pytest.param("demo", {"target": "inversion", "delta": DELTA, "j": J},
+                 marks=pytest.mark.slow, id="demo"),
+]
+
+
+@pytest.mark.parametrize("command,spec", CONVENTION_CASES)
+def test_cyclic_and_angular_configs_write_identical_outputs(tmp_path, command, spec):
+    cyclic, angular = both_conventions(spec)
+    rc, out_c = run(tmp_path, command, cyclic, name="cyclic.json")
+    assert rc == 0
+    rc, out_a = run(tmp_path, command, angular, name="angular.json",
+                    extra=("--convention", "angular"))
+    assert rc == 0
+    files = sorted(p.name for p in out_c.iterdir() if p.name != "manifest.json")
+    assert files == sorted(p.name for p in out_a.iterdir() if p.name != "manifest.json")
+    for f in files:
+        assert (out_c / f).read_bytes() == (out_a / f).read_bytes(), f
+
+
+def test_axis_unit_comes_from_position_not_name(tmp_path):
+    config = {"kind": "pair",
+              "axis1": {"name": "amplitude", "start": 1.0, "stop": 30.0, "count": 3},
+              "fixed": {"delta": 0.25, "tau1": 20.0, "tau2": 20.0, "tau_r": 1000.0}}
+    grids = []
+    for label in ("t", "time", "x"):
+        cfg = dict(config, axis2={"name": label, "start": 10.0, "stop": 3000.0, "count": 6})
+        rc, out = run(tmp_path, "sweep", cfg, name=f"{label}.json")
+        assert rc == 0
+        grids.append(load_csv(out / "grid.csv"))
+    assert np.array_equal(grids[0], grids[1]) and np.array_equal(grids[1], grids[2])
+    assert np.ptp(grids[0][:, 1:]) > 0.1  # a fringe, not one value repeated
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("sweep", dict(SWEEP_CFG, amplitdue=1.0), "amplitdue"),
+    ("sweep", dict(SWEEP_CFG, fixed={"delta": 0.25, "tau": 100.0, "tau_R": 5.0}), "tau_R"),
+    ("calibrate", dict(CAL_CFG, template={"type": "single-pulse", "delta": 1.5, "detla": 1.5}),
+     "detla"),
+])
+def test_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, config, key):
+    rc, _ = run(tmp_path, command, config, name="unknown.json")
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.slow
+def test_demo_and_shaped_demo_calibration_report_the_same_payload(tmp_path):
+    rc, demo = run(tmp_path, "demo", {"target": "inversion", "delta": 0.25, "j": 0.05},
+                   name="demo.json")
+    assert rc == 0
+    rc, cal = run(tmp_path, "calibrate",
+                  {"target": {"kind": "state", "name": "inversion"},
+                   "template": {"type": "shaped-demo", "delta": 0.25, "j": 0.05}},
+                  name="shaped.json")
+    assert rc == 0
+    payload = json.loads((demo / "demo.json").read_text())
+    assert payload["iterations"] > 0
+    assert (cal / "calibration.json").read_bytes() == (demo / "demo.json").read_bytes()

@@ -1,0 +1,41 @@
+"""Each JSON example in README's "Command-line tool" section runs as documented."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from picopulse.cli import _COMMANDS, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def cli_examples() -> list[tuple[str, dict]]:
+    """(subcommand, config) for every JSON block, by its ``### `subcommand` `` heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command-line tool\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("\n### ")[1:]:
+        command = re.match(r"`([a-z-]+)`", block).group(1)
+        examples += [(command, json.loads(body))
+                     for body in re.findall(r"```json\n(.*?)```", block, re.S)]
+    return examples
+
+
+EXAMPLES = cli_examples()
+
+
+def test_every_subcommand_has_an_example():
+    assert sorted({command for command, _ in EXAMPLES}) == sorted(_COMMANDS)
+
+
+@pytest.mark.parametrize("command,config", EXAMPLES, ids=[c for c, _ in EXAMPLES])
+def test_readme_example_runs(tmp_path, command, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    for name in ("demo.json", "calibration.json"):
+        if (out / name).exists():
+            assert json.loads((out / name).read_text())["converged"] is True
