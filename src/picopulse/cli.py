@@ -129,8 +129,10 @@ def _convert(value, unit, conv: UnitConvention, where: str):
             return conv.frequency_in(float(value))
         if unit == TIME:
             return conv.time_in(float(value))
+        if unit is int and (isinstance(value, bool) or int(value) != value):
+            raise ValueError(f"expected an integer, got {value!r}")
         return unit(**value) if is_dataclass(unit) else unit(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
@@ -214,10 +216,7 @@ def cmd_sweep(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
 
 def _delay_scan(config: dict, schema: dict, conv: UnitConvention):
     cfg = _read(config, schema, conv)
-    r = cfg["tau_r"]
-    if r["count"] < 2 or not r["start"] < r["stop"]:
-        raise ConfigError("tau_r range needs start < stop and count >= 2")
-    return cfg, np.linspace(r["start"], r["stop"], r["count"])
+    return cfg, protocols.Axis("tau_r", **cfg["tau_r"]).values()
 
 
 def cmd_ramsey(config: dict, out: Path, conv: UnitConvention) -> list[Path]:

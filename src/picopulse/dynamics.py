@@ -1,11 +1,12 @@
 """Numerical propagation over piecewise-constant control schedules.
 
-One batched core serves every closed-system result.  A schedule yields its
-segment Hamiltonians as one ``(n_seg, d, d)`` stack, a single stacked
-``eigh`` diagonalizes them, and :func:`picopulse.core.spectral_propagators`
-turns the eigensystems into exact segment propagators, which is exact for
-piecewise-constant controls.  :func:`evolve_unitary` multiplies them in
-order; :func:`sample_states` (behind :func:`evolve_state` and
+One batched core serves every closed-system result.  Segment Hamiltonians
+``(..., n_seg, d, d)`` and durations ``(..., n_seg)``, whose leading axes
+index a batch of schedules, get one stacked ``eigh``, and
+:func:`picopulse.core.spectral_propagators` turns the eigensystems into
+exact segment propagators.  :func:`evolve_unitaries` multiplies them in
+order; :func:`evolve_unitary` is its batch-of-one case for a
+:class:`Schedule`.  :func:`sample_states` (behind :func:`evolve_state` and
 ``protocols.populations_at``) evolves each sample time from the state at the
 start of its segment.  A classic 4th-order explicit stepper is kept as an
 independent cross-check (deliberately without renormalization), and a
@@ -143,23 +144,33 @@ class LindbladParams:
             raise ValueError("relaxation rates must be >= 0")
 
 
-def _segment_propagators(schedule: Schedule):
-    """One stacked ``eigh`` over all segments: eigenvalues, eigenvectors and
-    the exact propagators exp(-i H_seg dt_seg)."""
-    vals, vecs = np.linalg.eigh(schedule.hamiltonians())
-    return vals, vecs, spectral_propagators(vals, vecs, schedule.durations())
+def _segment_propagators(hams, durations):
+    """One stacked ``eigh``: eigenvalues, eigenvectors and the exact propagators
+    exp(-i H_seg dt_seg), with durations broadcast against the Hamiltonians."""
+    durations = np.asarray(durations, dtype=float)
+    if not np.all(np.isfinite(durations)) or np.any(durations < 0):
+        raise ValueError("segment durations must be finite and >= 0")
+    vals, vecs = np.linalg.eigh(hams)
+    return vals, vecs, spectral_propagators(vals, vecs, durations)
+
+
+def evolve_unitaries(hams, durations) -> np.ndarray:
+    """Ordered products ``(..., d, d)`` of exact segment propagators for
+    Hamiltonians ``(..., n_seg, d, d)`` and durations ``(..., n_seg)`` >= 0."""
+    steps = _segment_propagators(hams, durations)[2]
+    if steps.shape[-3] == 0:
+        return np.zeros(steps.shape[:-3] + (1, 1), dtype=complex) + np.eye(steps.shape[-1])
+    # pairwise products keep the order: (U1 U0), (U3 U2), ... then pairs of those
+    while steps.shape[-3] > 1:
+        pairs = steps[..., 1::2, :, :] @ steps[..., :-1:2, :, :]
+        steps = (np.concatenate([pairs, steps[..., -1:, :, :]], axis=-3)
+                 if steps.shape[-3] % 2 else pairs)
+    return steps[..., 0, :, :]
 
 
 def evolve_unitary(schedule: Schedule) -> np.ndarray:
     """Ordered product of exact per-segment propagators exp(-i H_seg dt_seg)."""
-    _, _, steps = _segment_propagators(schedule)
-    if len(steps) == 0:
-        return np.eye(schedule.dimension, dtype=complex)
-    # pairwise products keep the order: (U1 U0), (U3 U2), ... then pairs of those
-    while len(steps) > 1:
-        pairs = steps[1::2] @ steps[:-1:2]
-        steps = np.concatenate([pairs, steps[-1:]]) if len(steps) % 2 else pairs
-    return steps[0]
+    return evolve_unitaries(schedule.hamiltonians(), schedule.durations())
 
 
 def sample_states(schedule: Schedule, psi0, times) -> np.ndarray:
@@ -173,7 +184,7 @@ def sample_states(schedule: Schedule, psi0, times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     bounds = schedule.boundaries()
     n = len(schedule.segments)
-    vals, vecs, steps = _segment_propagators(schedule)
+    vals, vecs, steps = _segment_propagators(schedule.hamiltonians(), schedule.durations())
     starts = np.empty((n + 1, schedule.dimension), dtype=complex)
     starts[0] = psi0
     for k in range(n):

@@ -65,7 +65,6 @@ class LJJConfig:
     absorber_alpha: float = 2.0
     t_max: float | None = None
     require_exit: bool = True
-    save_stride: int | None = None
 
     def __post_init__(self):
         if self.length < 16.0:
@@ -204,7 +203,7 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
         alpha_x = alpha_x + cfg.absorber_alpha * ramp**2
 
     nsteps = int(math.ceil(cfg.time_budget / dt))
-    stride = cfg.save_stride or max(1, nsteps // 2000)
+    stride = max(1, nsteps // 2000)
     exit_x = cfg.length - cfg.absorber_width - 2.0
     level = 2.0 * math.pi / 2.0 + offset  # mid-kink phase level
 
@@ -316,11 +315,10 @@ def plateau_duration(wave: Waveform, level: float = 0.5) -> float:
     return (t_fall - t_rise) * wave.dt
 
 
-def simulate_amplitude_stage(wave: Waveform, cfg: InterferometerConfig,
-                             substeps: int | None = None) -> Waveform:
+def simulate_amplitude_stage(wave: Waveform, cfg: InterferometerConfig) -> Waveform:
     """Drive the twin interferometers with the loop flux; return the output current."""
     phi_ext = 0.25 * wave.samples
-    nsub = substeps or max(1, int(math.ceil(wave.dt / (0.02 * cfg.alpha_j))))
+    nsub = max(1, int(math.ceil(wave.dt / (0.02 * cfg.alpha_j))))
     h = wave.dt / nsub
     ic = np.array([1.0, cfg.ic1])
     phase = np.zeros(2)
@@ -480,9 +478,10 @@ def end_to_end_demo(target: str, delta: float = math.tau * 0.25, j: float = 0.3,
     One circuit-shaped waveform (finite rise/fall) drives qubit 1 and then
     qubit 2, with the coupling ``j`` left on during the pulses; a final
     coupling-free delay sets the relative phase of the superposition targets.
-    The three free parameters (per-pulse amplitude scales and the delay) are
-    calibrated from analytic area seeds, and the reported fidelity comes from
-    a fresh propagation at the calibrated parameters.
+    The parameters (per-pulse amplitude scales and the delay) are calibrated
+    from analytic seeds, except the delay for ``inversion``, on which |uu>
+    fidelity does not depend.  The reported fidelity comes from a fresh
+    propagation at the calibrated parameters.
     """
     from .protocols import calibrate_pulse
 
@@ -512,11 +511,14 @@ def end_to_end_demo(target: str, delta: float = math.tau * 0.25, j: float = 0.3,
     bounds = [(0.5 * s1_seed, 1.5 * s1_seed) if s1_seed > 0 else (1.5 * s1_seed, 0.5 * s1_seed),
               (0.4 * s2_seed, 1.6 * s2_seed) if s2_seed > 0 else (1.6 * s2_seed, 0.4 * s2_seed),
               (1e-4, tail_hi)]
-    result = calibrate_pulse(("state", goal), build, bounds, seed, tol=tol)
-    schedule = build(result.params)
+    free = 2 if target == "inversion" else 3  # parameters the calibration moves
+    result = calibrate_pulse(("state", goal), lambda p: build([*p, *seed[free:]]),
+                             bounds[:free], seed[:free], tol=tol)
+    params = np.append(result.params, seed[free:])
+    schedule = build(params)
     trajectory = evolve_state(schedule, np.array([1, 0, 0, 0], dtype=complex),
                               schedule.total_duration / 200.0)
-    return DemoResult(target=target, fidelity=result.fidelity, params=result.params,
+    return DemoResult(target=target, fidelity=result.fidelity, params=params,
                       converged=result.converged, iterations=result.iterations,
                       schedule=schedule, waveform=wave,
                       trajectory=trajectory)

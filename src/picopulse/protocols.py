@@ -2,9 +2,12 @@
 and derivative-free pulse calibration.
 
 Sweep axes are dimensionless by default (pulse areas and amplitudes in rad/ns
-against times in ns); the CLI layer applies unit conversions.  Every sweep
-cell is a deterministic function of the spec and equals an independent
-propagation by :mod:`picopulse.dynamics`, which the test-suite spot checks.
+against times in ns); the CLI layer applies unit conversions.  A sweep makes
+one :mod:`picopulse.dynamics` core call per axis1 value, not per cell: it
+samples that value's schedule at every axis2 time, or (three-stage) batches
+one segment's length over the axis2 values, as the Ramsey scan batches all
+its delays.  Every cell equals an independent propagation, which the
+test-suite checks.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from .dynamics import (
     Segment,
     evolve_lindblad,
     evolve_state,
+    evolve_unitaries,
+    evolve_unitary,
     sample_states,
 )
 
@@ -135,75 +140,70 @@ def populations_at(schedule: Schedule, psi0: np.ndarray, times: np.ndarray) -> n
     return np.abs(sample_states(schedule, psi0, times)) ** 2
 
 
-def _ground(dimension: int) -> np.ndarray:
-    psi = np.zeros(dimension, dtype=complex)
-    psi[0] = 1.0
-    return psi
+def _grid(spec: SweepSpec, values: np.ndarray, **meta) -> SweepGrid:
+    return SweepGrid(spec.axis1, spec.axis2, np.clip(values, 0.0, 1.0),
+                     meta={**spec.fixed, **meta})
+
+
+def _sampled_populations(spec: SweepSpec, schedule_of) -> np.ndarray:
+    """Populations ``(axis1, axis2, d)`` at the axis2 times, one core call per axis1 value.
+
+    ``schedule_of(value, tail)`` builds the value's schedule; the tail pads
+    its pulses out to the last time.
+    """
+    values, times = spec.axis1.values(), spec.axis2.values()
+    tail = max(float(times[-1]) - schedule_of(values[0], 0.0).total_duration, 0.0) + 1e-9
+    rows = []
+    for value in values:
+        sched = schedule_of(value, tail)
+        rows.append(populations_at(sched, np.eye(sched.dimension, dtype=complex)[0], times))
+    return np.array(rows)
+
+
+def _final_populations(schedule: Schedule, k: int, lengths) -> np.ndarray:
+    """Populations ``(len(lengths), d)`` after ``schedule`` from the ground state,
+    with segment ``k`` lasting each of ``lengths``: one batched core call."""
+    durations = np.repeat(schedule.durations()[None], len(lengths), axis=0)
+    durations[:, k] = lengths
+    return np.abs(evolve_unitaries(schedule.hamiltonians(), durations)[:, :, 0]) ** 2
 
 
 def sweep_single_pulse(spec: SweepSpec) -> SweepGrid:
     """Population map under a single unipolar pulse: axis1 = amplitude, axis2 = time."""
-    delta = spec.fixed["delta"]
-    tau = spec.fixed["tau"]
-    amps = spec.axis1.values()
-    times = spec.axis2.values()
-    tail = max(float(times[-1]) - tau, 0.0) + 1e-9
-    grid = np.empty((len(amps), len(times)))
-    for i, a in enumerate(amps):
-        sched = single_pulse_schedule(a, tau, delta, tail=tail)
-        grid[i] = populations_at(sched, _ground(2), times)[:, spec.observable]
-    return SweepGrid(spec.axis1, spec.axis2, np.clip(grid, 0.0, 1.0),
-                     meta={"delta": delta, "tau": tau, "observable": spec.observable})
+    f, k = spec.fixed, spec.observable
+    pops = _sampled_populations(
+        spec, lambda a, tail: single_pulse_schedule(a, f["tau"], f["delta"], tail=tail))
+    return _grid(spec, pops[:, :, k], observable=k)
 
 
 def sweep_pulse_pair(spec: SweepSpec) -> SweepGrid:
     """Population map under a pulse pair: axis1 = amplitude, axis2 = time."""
-    delta = spec.fixed["delta"]
-    tau1 = spec.fixed["tau1"]
-    tau2 = spec.fixed["tau2"]
-    tau_r = spec.fixed["tau_r"]
-    amps = spec.axis1.values()
-    times = spec.axis2.values()
-    tail = max(float(times[-1]) - (tau1 + tau_r + tau2), 0.0) + 1e-9
-    grid = np.empty((len(amps), len(times)))
-    for i, a in enumerate(amps):
-        sched = pulse_pair_schedule(a, tau1, tau2, tau_r, delta, tail=tail)
-        grid[i] = populations_at(sched, _ground(2), times)[:, spec.observable]
-    return SweepGrid(spec.axis1, spec.axis2, np.clip(grid, 0.0, 1.0),
-                     meta={"delta": delta, "tau1": tau1, "tau2": tau2,
-                           "tau_r": tau_r, "observable": spec.observable})
+    f, k = spec.fixed, spec.observable
+    pops = _sampled_populations(spec, lambda a, tail: pulse_pair_schedule(
+        a, f["tau1"], f["tau2"], f["tau_r"], f["delta"], tail=tail))
+    return _grid(spec, pops[:, :, k], observable=k)
 
 
 def sweep_coupler_pulse(spec: SweepSpec) -> SweepGrid:
     """|dd> -> |uu> map for a coupler-only pulse: axis1 = coupling J, axis2 = time."""
-    delta = spec.fixed["delta"]
-    tau = spec.fixed["tau"]
-    js = spec.axis1.values()
-    times = spec.axis2.values()
-    tail = max(float(times[-1]) - tau, 0.0) + 1e-9
-    grid = np.empty((len(js), len(times)))
-    for i, j in enumerate(js):
-        sched = coupler_pulse_schedule(delta, j, tau, tail=tail)
-        grid[i] = populations_at(sched, _ground(4), times)[:, 3]
-    return SweepGrid(spec.axis1, spec.axis2, np.clip(grid, 0.0, 1.0),
-                     meta={"delta": delta, "tau": tau})
+    f = spec.fixed
+    pops = _sampled_populations(
+        spec, lambda j, tail: coupler_pulse_schedule(f["delta"], j, f["tau"], tail=tail))
+    return _grid(spec, pops[:, :, 3])
 
 
 def sweep_three_stage(spec: SweepSpec) -> SweepGrid:
-    """|dd> -> |uu> map of the kick/drive/kick protocol: axis1 = drive amplitude, axis2 = tau2."""
-    delta = spec.fixed["delta"]
-    j = spec.fixed["j"]
-    tau1 = spec.fixed["tau1"]
-    amps = spec.axis1.values()
+    """|dd> -> |uu> map of the kick/drive/kick protocol: axis1 = drive amplitude, axis2 = tau2.
+
+    One batched core call per amplitude covers every tau2; the row's schedule
+    is built at the first tau2, which validates the axis.
+    """
+    f = spec.fixed
     tau2s = spec.axis2.values()
-    grid = np.empty((len(amps), len(tau2s)))
-    for i, a in enumerate(amps):
-        for k, tau2 in enumerate(tau2s):
-            sched = three_stage_schedule(tau1, tau2, j, a, a, delta)
-            grid[i, k] = populations_at(sched, _ground(4),
-                                        np.array([sched.total_duration]))[0, 3]
-    return SweepGrid(spec.axis1, spec.axis2, np.clip(grid, 0.0, 1.0),
-                     meta={"delta": delta, "j": j, "tau1": tau1})
+    rows = [_final_populations(three_stage_schedule(f["tau1"], tau2s[0], f["j"], a, a,
+                                                    f["delta"]), 1, tau2s)[:, 3]
+            for a in spec.axis1.values()]
+    return _grid(spec, np.array(rows))
 
 
 def sweep_register_pair(spec: SweepSpec) -> tuple[SweepGrid, SweepGrid, SweepGrid, SweepGrid]:
@@ -211,27 +211,10 @@ def sweep_register_pair(spec: SweepSpec) -> tuple[SweepGrid, SweepGrid, SweepGri
 
     axis1 = shared drive amplitude (A1 = A2), axis2 = time.
     """
-    d1 = spec.fixed["delta1"]
-    d2 = spec.fixed["delta2"]
-    j = spec.fixed["j"]
-    tau1 = spec.fixed["tau1"]
-    tau2 = spec.fixed["tau2"]
-    tau_r = spec.fixed["tau_r"]
-    amps = spec.axis1.values()
-    times = spec.axis2.values()
-    tail = max(float(times[-1]) - (tau1 + tau_r + tau2), 0.0) + 1e-9
-    grids = np.empty((4, len(amps), len(times)))
-    for i, a in enumerate(amps):
-        sched = register_pair_schedule(d1, d2, j, a, a, tau1, tau2, tau_r, tail=tail)
-        pops = populations_at(sched, _ground(4), times)
-        for b in range(4):
-            grids[b, i] = pops[:, b]
-    meta = {"delta1": d1, "delta2": d2, "j": j,
-            "tau1": tau1, "tau2": tau2, "tau_r": tau_r}
-    return tuple(
-        SweepGrid(spec.axis1, spec.axis2, np.clip(grids[b], 0.0, 1.0),
-                  meta={**meta, "basis_index": b})
-        for b in range(4))
+    f = spec.fixed
+    pops = _sampled_populations(spec, lambda a, tail: register_pair_schedule(
+        f["delta1"], f["delta2"], f["j"], a, a, f["tau1"], f["tau2"], f["tau_r"], tail=tail))
+    return tuple(_grid(spec, pops[:, :, b], basis_index=b) for b in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -239,29 +222,29 @@ def sweep_register_pair(spec: SweepSpec) -> tuple[SweepGrid, SweepGrid, SweepGri
 
 def ramsey_delay_scan(amplitude: float, delta: float, tau: float,
                       tau_r_values) -> np.ndarray:
-    """Columns (tau_r, W_numeric, W_analytic) for equal-duration pulse pairs."""
-    rows = []
-    for tau_r in np.asarray(tau_r_values, dtype=float):
-        sched = pulse_pair_schedule(amplitude, tau, tau, tau_r, delta)
-        psi = evolve_state(sched, _ground(2), sched.total_duration).final
-        w_num = float(abs(psi[1]) ** 2)
-        w_ana = analytic.ramsey_probability_unipolar(
-            analytic.PulsePair(tau, tau, tau_r, amplitude), delta)
-        rows.append((tau_r, w_num, w_ana))
-    return np.array(rows)
+    """Columns (tau_r, W_numeric, W_analytic) for equal-duration pulse pairs.
+
+    One batched core call covers every delay; a zero delay is a zero-length
+    free segment.
+    """
+    delays = np.asarray(tau_r_values, dtype=float)
+    # the free segment's Hamiltonian does not depend on its length, which each delay sets
+    w_num = _final_populations(pulse_pair_schedule(amplitude, tau, tau, tau, delta),
+                               1, delays)[:, 1]
+    w_ana = [analytic.ramsey_probability_unipolar(
+        analytic.PulsePair(tau, tau, tau_r, amplitude), delta) for tau_r in delays]
+    return np.column_stack([delays, w_num, w_ana])
 
 
 def lindblad_ramsey_scan(amplitude: float, delta: float, tau: float,
-                         tau_r_values, lp: LindbladParams,
-                         sample_dt: float | None = None) -> np.ndarray:
+                         tau_r_values, lp: LindbladParams) -> np.ndarray:
     """Columns (tau_r, W) with the master equation active at all times."""
     rho0 = np.zeros((2, 2), dtype=complex)
     rho0[0, 0] = 1.0
     rows = []
     for tau_r in np.asarray(tau_r_values, dtype=float):
         sched = pulse_pair_schedule(amplitude, tau, tau, tau_r, delta)
-        dt = sample_dt if sample_dt is not None else sched.total_duration
-        traj = evolve_lindblad(sched, rho0, lp, dt)
+        traj = evolve_lindblad(sched, rho0, lp, sched.total_duration)
         rows.append((tau_r, float(traj.final[1, 1].real)))
     return np.array(rows)
 
@@ -328,12 +311,15 @@ def _golden_section(f, lo: float, hi: float, rel_tol: float = 1e-7,
     return d, fd, evals
 
 
+_MAX_SWEEPS = 12  # coordinate sweeps per calibration, at most
+_COARSE_POINTS = 25  # coarse-scan points per coordinate
+
+
 class _BudgetExhausted(Exception):
     """Internal flow control: the objective-evaluation budget ran out."""
 
 
 def calibrate_pulse(target, template, bounds, seed, tol: float = 1e-4,
-                    max_sweeps: int = 12, coarse_points: int = 25,
                     budget: int = 4000) -> CalibrationResult:
     """Derivative-free calibration of a parameterized schedule.
 
@@ -356,12 +342,10 @@ def calibrate_pulse(target, template, bounds, seed, tol: float = 1e-4,
     evals = 0
 
     def fidelity_of(p) -> float:
-        from .dynamics import evolve_unitary
         u = evolve_unitary(template(np.asarray(p, dtype=float)))
         if kind == "unitary":
             return gate_fidelity(goal, u)
-        psi0 = _ground(u.shape[0])
-        psi = u @ psi0
+        psi = u[:, 0]  # evolved from the ground state
         return state_fidelity(goal, psi / np.linalg.norm(psi))
 
     def objective(p) -> float:
@@ -376,12 +360,12 @@ def calibrate_pulse(target, template, bounds, seed, tol: float = 1e-4,
     except _BudgetExhausted:
         best = 1.0 - fidelity_of(params)
     try:
-        for _ in range(max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             improved = best
             for i, (lo, hi) in enumerate(bounds):
                 # coarse scan keeps the oscillatory objective from trapping
                 # the golden-section refinement in a secondary minimum
-                xs = np.linspace(lo, hi, coarse_points)
+                xs = np.linspace(lo, hi, _COARSE_POINTS)
                 fs = []
                 for x in xs:
                     p = params.copy()

@@ -149,3 +149,122 @@ def test_non_finite_detuning_rejected():
                               segments=(Segment(0.1, j=1.0),))):
         with pytest.raises(ValueError):
             dynamics.evolve_unitary(schedule)
+
+
+# ---------------------------------------------------------------------------
+# sweeps and delay scans against per-cell expm products
+
+from picopulse import protocols  # noqa: E402
+from picopulse.protocols import Axis, SweepSpec  # noqa: E402
+
+times_axis_start = st.floats(0.0, 1.0, allow_nan=False)
+
+# kind -> (runner, fixed fields, schedule of (fixed, axis1 value, tail),
+#          basis index of each returned grid for a spec)
+SAMPLED = {
+    "single": (protocols.sweep_single_pulse, ("delta", "tau"),
+               lambda f, a, tail: protocols.single_pulse_schedule(a, f["tau"], f["delta"],
+                                                                  tail=tail),
+               lambda spec: [spec.observable]),
+    "pair": (protocols.sweep_pulse_pair, ("delta", "tau1", "tau2", "tau_r"),
+             lambda f, a, tail: protocols.pulse_pair_schedule(a, f["tau1"], f["tau2"],
+                                                              f["tau_r"], f["delta"],
+                                                              tail=tail),
+             lambda spec: [spec.observable]),
+    "coupler": (protocols.sweep_coupler_pulse, ("delta", "tau"),
+                lambda f, j, tail: protocols.coupler_pulse_schedule(f["delta"], j, f["tau"],
+                                                                    tail=tail),
+                lambda spec: [3]),
+    "register-pair": (protocols.sweep_register_pair,
+                      ("delta1", "delta2", "j", "tau1", "tau2", "tau_r"),
+                      lambda f, a, tail: protocols.register_pair_schedule(
+                          f["delta1"], f["delta2"], f["j"], a, a, f["tau1"], f["tau2"],
+                          f["tau_r"], tail=tail),
+                      lambda spec: [0, 1, 2, 3]),
+}
+
+
+@st.composite
+def axes(draw, start):
+    lo = draw(start)
+    return Axis("x", lo, lo + draw(st.floats(1e-3, 1.0)), draw(st.integers(2, 4)))
+
+
+def ground(dim):
+    return np.eye(dim, dtype=complex)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sampled_sweeps_match_per_cell_expm(data):
+    kind = data.draw(st.sampled_from(sorted(SAMPLED)))
+    runner, names, build, indices = SAMPLED[kind]
+    fixed = {k: data.draw(durations if k.startswith("tau") else controls) for k in names}
+    spec = SweepSpec(axis1=data.draw(axes(controls)), axis2=data.draw(axes(times_axis_start)),
+                     fixed=fixed, observable=data.draw(st.integers(0, 1)))
+    grids = runner(spec)
+    grids = grids if isinstance(grids, tuple) else (grids,)
+    times = spec.axis2.values()
+    for i, value in enumerate(spec.axis1.values()):
+        # a tail past the last time: populations up to it do not depend on its length
+        sched = build(fixed, value, float(times[-1]) + 1.0)
+        ref = np.abs(reference_states(sched, ground(sched.dimension), times)) ** 2
+        for grid, b in zip(grids, indices(spec), strict=True):
+            assert np.max(np.abs(grid.values[i] - ref[:, b])) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(controls, controls, durations, axes(controls), axes(st.floats(1e-3, 0.5)))
+def test_three_stage_sweep_matches_per_cell_expm(delta, j, tau1, axis1, axis2):
+    grid = protocols.sweep_three_stage(
+        SweepSpec(axis1, axis2, fixed={"delta": delta, "j": j, "tau1": tau1}))
+    for i, a in enumerate(axis1.values()):
+        for k, tau2 in enumerate(axis2.values()):
+            u = reference_unitary(protocols.three_stage_schedule(tau1, tau2, j, a, a, delta))
+            assert abs(grid.values[i, k] - abs(u[3, 0]) ** 2) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(controls, controls, durations,
+       st.lists(st.one_of(st.just(0.0), durations), min_size=1, max_size=6))
+def test_ramsey_delay_scan_matches_per_delay_expm(amplitude, delta, tau, delays):
+    rows = protocols.ramsey_delay_scan(amplitude, delta, tau, delays)
+    assert np.array_equal(rows[:, 0], delays)
+    for (_, w, _), tau_r in zip(rows, delays):
+        u = reference_unitary(protocols.pulse_pair_schedule(amplitude, tau, tau, tau_r, delta))
+        assert abs(w - abs(u[1, 0]) ** 2) <= 1e-12
+
+
+def test_batched_scans_make_one_stacked_eigh_per_row(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(np.shape(h)) or eigh(h))
+    spec = SweepSpec(Axis("a", 1.0, 30.0, 5), Axis("tau2", 0.01, 0.3, 7),
+                     fixed={"delta": 1.5, "j": 0.7, "tau1": 0.05})
+    protocols.sweep_three_stage(spec)
+    assert len(calls) == spec.axis1.count
+    calls.clear()
+    protocols.ramsey_delay_scan(40.0, 1.5, 0.02, np.linspace(0.0, 8.0, 30))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("start", [0.0, -0.1])
+def test_three_stage_tau2_axis_must_start_above_zero(start):
+    spec = SweepSpec(Axis("a", 1.0, 30.0, 3), Axis("tau2", start, 0.3, 4),
+                     fixed={"delta": 1.5, "j": 0.7, "tau1": 0.05})
+    with pytest.raises(ValueError):
+        protocols.sweep_three_stage(spec)
+
+
+def test_ramsey_pulse_length_must_be_positive():
+    with pytest.raises(ValueError):
+        protocols.ramsey_delay_scan(40.0, 1.5, 0.0, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+def test_batched_durations_must_be_finite_and_non_negative(bad):
+    hams = core.hamiltonians([(1.0, 2.0), (1.0, 0.0)])
+    identity = dynamics.evolve_unitaries(hams, [[0.0, 0.0]])
+    assert identity.shape == (1, 2, 2) and np.max(np.abs(identity - np.eye(2))) <= 1e-15
+    with pytest.raises(ValueError):
+        dynamics.evolve_unitaries(hams, [[0.1, 0.2], [0.1, bad]])

@@ -338,3 +338,35 @@ def test_demo_and_shaped_demo_calibration_report_the_same_payload(tmp_path):
     payload = json.loads((demo / "demo.json").read_text())
     assert payload["iterations"] > 0
     assert (cal / "calibration.json").read_bytes() == (demo / "demo.json").read_bytes()
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("sweep", dict(SWEEP_CFG, axis1=dict(SWEEP_CFG["axis1"], count=2.9)), "axis1.count"),
+    ("sweep", dict(SWEEP_CFG, axis2=dict(SWEEP_CFG["axis2"], count=True)), "axis2.count"),
+    ("ramsey", dict(RAMSEY_CFG, tau_r=dict(RAMSEY_CFG["tau_r"], count=40.5)), "tau_r.count"),
+    ("calibrate", dict(CAL_CFG, budget=2.5), "budget"),
+    ("sweep", dict(SWEEP_CFG, observable=True), "observable"),
+    ("sweep", dict(SWEEP_CFG, observable="1"), "observable"),
+])
+def test_integer_fields_reject_non_integral_values(tmp_path, capsys, command, config, key):
+    rc, _ = run(tmp_path, command, config, name="int.json")
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def test_integral_float_reads_as_integer(tmp_path):
+    rc, out = run(tmp_path, "sweep", dict(SWEEP_CFG, axis1=dict(SWEEP_CFG["axis1"], count=6.0)))
+    assert rc == 0
+    assert load_csv(out / "grid.csv").shape == (6, 9)
+
+
+@pytest.mark.parametrize("command,config", [
+    ("sweep", {"kind": "three-stage",
+               "axis1": {"name": "amplitude", "start": 0.5, "stop": 20.0, "count": 3},
+               "axis2": {"name": "tau2", "start": 0.0, "stop": 150.0, "count": 4},
+               "fixed": {"delta": 0.25, "j": 0.5, "tau1": 20.0}}),
+    ("ramsey", dict(RAMSEY_CFG, tau=0.0)),
+])
+def test_zero_pulse_length_exits_2(tmp_path, command, config):
+    rc, _ = run(tmp_path, command, config, name="zero.json")
+    assert rc == 2

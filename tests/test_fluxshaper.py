@@ -249,3 +249,12 @@ def test_end_to_end_demo_and_rectangular_baseline(default_run):
                 (1e-4, 2 * np.pi / delta)],
         seed=[seed, seed, 0.1], tol=5e-3)
     assert rect.fidelity >= demo.fidelity - 0.005
+
+
+def test_inversion_demo_keeps_the_tail_at_its_seed():
+    # the tail is a J = 0 diagonal segment, so |uu> fidelity cannot constrain it
+    delta = math.tau * 0.25
+    demo = fs.end_to_end_demo("inversion", delta=delta)
+    assert demo.params[2] == 0.5 * math.pi / delta
+    assert demo.schedule.segments[-1].duration == demo.params[2]
+    assert demo.fidelity >= 0.99
