@@ -55,17 +55,18 @@ class Opt:
 _AXIS1 = {"name": str, "start": FREQ, "stop": FREQ, "count": int}
 _AXIS2 = {"name": str, "start": TIME, "stop": TIME, "count": int}
 
-# sweep kind -> (runner, fixed fields)
+_OBSERVABLE = {"observable": Opt(int, 0)}
+# sweep kind -> (runner, fixed fields, further fields); only the qubit kinds pick an observable
 _SWEEPS = {
-    "single": (protocols.sweep_single_pulse, {"delta": FREQ, "tau": TIME}),
+    "single": (protocols.sweep_single_pulse, {"delta": FREQ, "tau": TIME}, _OBSERVABLE),
     "pair": (protocols.sweep_pulse_pair,
-             {"delta": FREQ, "tau1": TIME, "tau2": TIME, "tau_r": TIME}),
-    "coupler": (protocols.sweep_coupler_pulse, {"delta": FREQ, "tau": TIME}),
+             {"delta": FREQ, "tau1": TIME, "tau2": TIME, "tau_r": TIME}, _OBSERVABLE),
+    "coupler": (protocols.sweep_coupler_pulse, {"delta": FREQ, "tau": TIME}, {}),
     "three-stage": (protocols.sweep_three_stage,
-                    {"delta": FREQ, "j": FREQ, "tau1": TIME}),
+                    {"delta": FREQ, "j": FREQ, "tau1": TIME}, {}),
     "register-pair": (protocols.sweep_register_pair,
                       {"delta1": FREQ, "delta2": FREQ, "j": FREQ,
-                       "tau1": TIME, "tau2": TIME, "tau_r": TIME}),
+                       "tau1": TIME, "tau2": TIME, "tau_r": TIME}, {}),
 }
 
 _RAMSEY = {"amplitude": FREQ, "delta": FREQ, "tau": TIME,
@@ -159,10 +160,6 @@ def _write_json(path: Path, payload: dict) -> Path:
     return path
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _write_manifest(out: Path, command: str, config: dict, convention: str,
                     outputs: list[Path], wall_time: float) -> None:
     _write_json(out / "manifest.json", {
@@ -171,7 +168,8 @@ def _write_manifest(out: Path, command: str, config: dict, convention: str,
         "convention": convention,
         "version": __version__,
         "wall_time_s": round(wall_time, 3),
-        "outputs": [{"file": p.name, "sha256": _sha256(p)} for p in sorted(outputs)],
+        "outputs": [{"file": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+                    for p in sorted(outputs)],
     })
 
 
@@ -200,13 +198,13 @@ def _calibration_json(result, **extra) -> dict:
 
 def cmd_sweep(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
     kind = _select(config, "kind", _SWEEPS, "sweep kind")
-    runner, fixed = _SWEEPS[kind]
+    runner, fixed, further = _SWEEPS[kind]
     cfg = _read(config, {"kind": str, "axis1": _AXIS1, "axis2": _AXIS2,
-                         "fixed": fixed, "observable": Opt(int, 0)}, conv)
+                         "fixed": fixed, **further}, conv)
     grids = runner(protocols.SweepSpec(axis1=protocols.Axis(**cfg["axis1"]),
                                        axis2=protocols.Axis(**cfg["axis2"]),
                                        fixed=cfg["fixed"],
-                                       observable=cfg["observable"]))
+                                       observable=cfg.get("observable", 0)))
     if isinstance(grids, tuple):
         names = [f"grid_basis{i}" for i in range(len(grids))]
     else:

@@ -29,13 +29,8 @@ ID2 = np.eye(2, dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_MINUS = SIGMA_PLUS.conj().T
 
-BASIS_LABELS_2 = ("|down>", "|up>")
-BASIS_LABELS_4 = ("|dd>", "|ud>", "|du>", "|uu>")
-
 KET_DOWN = np.array([1.0, 0.0], dtype=complex)
 KET_UP = np.array([0.0, 1.0], dtype=complex)
-KET_DD = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-KET_UU = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
 
 # Hamiltonians are linear in their coefficient rows, H = sum_k c_k OP_k, with
 # the -1/2 prefactor folded into the operators.  Qubit rows are (delta, eps);
@@ -63,11 +58,6 @@ def check_state(psi, tol: float = 1e-12) -> np.ndarray:
     if abs(nrm2 - 1.0) > tol:
         raise ValueError(f"state norm^2 = {nrm2!r} deviates from 1 beyond {tol}")
     return psi
-
-
-def normalized(psi) -> np.ndarray:
-    psi = _as_complex_array(psi, "state")
-    return psi / np.linalg.norm(psi)
 
 
 def check_hermitian(h, tol: float = 1e-12) -> np.ndarray:

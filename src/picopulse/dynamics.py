@@ -1,17 +1,23 @@
 """Numerical propagation over piecewise-constant control schedules.
 
-One batched core serves every closed-system result.  Segment Hamiltonians
+A :class:`Schedule` holds its segments as arrays, ``durations (n,)`` and
+``controls (n, 3)``; ``Schedule(delta1, segments)`` fills them from
+:class:`Segment` objects and :meth:`Schedule.from_arrays` takes them as they
+are, which is how a calibration template should build its schedules.  One
+batched core serves every closed-system result.  Segment Hamiltonians
 ``(..., n_seg, d, d)`` and durations ``(..., n_seg)``, whose leading axes
 index a batch of schedules, get one stacked ``eigh``, and
 :func:`picopulse.core.spectral_propagators` turns the eigensystems into
-exact segment propagators.  :func:`evolve_unitaries` multiplies them in
-order; :func:`evolve_unitary` is its batch-of-one case for a
-:class:`Schedule`.  :func:`sample_states` (behind :func:`evolve_state` and
-``protocols.populations_at``) evolves each sample time from the state at the
-start of its segment.  A classic 4th-order explicit stepper is kept as an
-independent cross-check (deliberately without renormalization), and a
-cosine-driven lab-frame integrator covers the one genuinely time-dependent
-case.  Open-system evolution integrates the master equation
+exact segment propagators, which :func:`evolve_unitaries` multiplies in
+order.  :func:`evolve_unitary` is its batch-of-one case for a schedule, and
+:class:`PropagatorReuse` its form for a sequence of schedules that share
+segments, as in a calibration.  :func:`sample_states` (behind
+:func:`evolve_state` and ``protocols.populations_at``) evolves each sample
+time from the state at the start of its segment.  A classic 4th-order
+explicit stepper is kept as an independent cross-check (deliberately without
+renormalization), and a cosine-driven lab-frame integrator covers the one
+genuinely time-dependent case.  Open-system evolution integrates the master
+equation
 
     drho/dt = i[rho, H(t)] + gamma (s- rho s+ - 1/2 {s+ s-, rho})
               + gamma_phi (sz rho sz - rho)
@@ -38,8 +44,6 @@ from .core import (
     check_density_matrix,
     check_state,
     hamiltonians,
-    make_single_qubit_hamiltonian,
-    make_two_qubit_hamiltonian,
     spectral_propagators,
 )
 
@@ -63,49 +67,71 @@ class Segment:
             raise ValueError("segment controls must be finite")
 
 
-@dataclass(frozen=True)
 class Schedule:
-    """Ordered control segments for a qubit (dimension 2) or register (dimension 4)."""
+    """Ordered piecewise-constant segments for a qubit (dimension 2) or register (dimension 4).
 
-    delta1: float
-    segments: tuple[Segment, ...]
-    delta2: float = 0.0
-    dimension: int = 2
+    Stored as ``durations (n,)`` and ``controls (n, 3)`` arrays, one row
+    ``(e1, e2, j)`` per segment.  :meth:`from_arrays` takes the arrays and
+    builds no :class:`Segment`; it checks all rows at once and raises the error
+    the first bad row's Segment would.
+    """
 
-    def __post_init__(self):
-        if self.dimension not in (2, 4):
-            raise ValueError(f"dimension must be 2 or 4, got {self.dimension}")
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if self.dimension == 2:
-            for seg in self.segments:
-                if seg.e2 != 0.0 or seg.j != 0.0:
-                    raise ValueError("dimension-2 schedules may only use the e1 control")
+    def __init__(self, delta1: float, segments, delta2: float = 0.0, dimension: int = 2):
+        # each Segment has checked its own row
+        rows = np.array([(s.duration, s.e1, s.e2, s.j) for s in segments], dtype=float)
+        rows = rows.reshape(-1, 4)
+        self._set(delta1, delta2, dimension, rows[:, 0].copy(), rows[:, 1:].copy())
+
+    @classmethod
+    def from_arrays(cls, delta1: float, durations, controls, delta2: float = 0.0,
+                    dimension: int = 2) -> Schedule:
+        """A schedule from ``durations (n,)`` and ``controls (n, 3)``, without segments."""
+        durations, controls = np.array(durations, dtype=float), np.array(controls, dtype=float)
+        if durations.ndim != 1 or controls.shape != (len(durations), 3):
+            raise ValueError("durations and controls must have shapes (n,) and (n, 3)")
+        ok = (durations > 0) & np.isfinite(durations) & np.isfinite(controls).all(axis=1)
+        if not ok.all():  # the first bad row raises Segment's own error
+            k = int(np.argmin(ok))
+            Segment(durations[k], *controls[k])
+        schedule = cls.__new__(cls)
+        schedule._set(delta1, delta2, dimension, durations, controls)
+        return schedule
+
+    def _set(self, delta1, delta2, dimension, durations, controls):
+        if dimension not in (2, 4):
+            raise ValueError(f"dimension must be 2 or 4, got {dimension}")
+        if dimension == 2 and controls[:, 1:].any():
+            raise ValueError("dimension-2 schedules may only use the e1 control")
+        durations.flags.writeable = controls.flags.writeable = False
+        self.delta1, self.delta2, self.dimension = delta1, delta2, dimension
+        self._durations, self.controls = durations, controls
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        return tuple(Segment(d, *c) for d, c in zip(self._durations.tolist(),
+                                                     self.controls.tolist()))
 
     @property
     def total_duration(self) -> float:
-        return sum(seg.duration for seg in self.segments)
-
-    def hamiltonian(self, seg: Segment) -> np.ndarray:
-        if self.dimension == 2:
-            return make_single_qubit_hamiltonian(self.delta1, seg.e1)
-        return make_two_qubit_hamiltonian(self.delta1, self.delta2,
-                                          seg.e1, seg.e2, seg.j)
+        return sum(self._durations.tolist())
 
     def hamiltonians(self) -> np.ndarray:
         """All segment Hamiltonians as one ``(n_seg, d, d)`` stack."""
         if self.dimension == 2:
-            rows = [(self.delta1, s.e1) for s in self.segments]
-            return hamiltonians(np.array(rows, dtype=float).reshape(-1, 2))
-        rows = [(self.delta1, self.delta2, s.e1, s.e2, s.j) for s in self.segments]
-        return hamiltonians(np.array(rows, dtype=float).reshape(-1, 5))
+            coeffs = np.empty((len(self._durations), 2))
+            coeffs[:, 0], coeffs[:, 1] = self.delta1, self.controls[:, 0]
+        else:
+            coeffs = np.empty((len(self._durations), 5))
+            coeffs[:, 0], coeffs[:, 1], coeffs[:, 2:] = self.delta1, self.delta2, self.controls
+        return hamiltonians(coeffs)
 
     def durations(self) -> np.ndarray:
-        """Segment durations as one array."""
-        return np.array([s.duration for s in self.segments], dtype=float)
+        """Segment durations as one read-only array."""
+        return self._durations
 
     def boundaries(self) -> np.ndarray:
         """Cumulative segment end times, starting at 0."""
-        return np.concatenate([[0.0], np.cumsum(self.durations())])
+        return np.concatenate([[0.0], np.cumsum(self._durations)])
 
 
 @dataclass(frozen=True)
@@ -154,10 +180,8 @@ def _segment_propagators(hams, durations):
     return vals, vecs, spectral_propagators(vals, vecs, durations)
 
 
-def evolve_unitaries(hams, durations) -> np.ndarray:
-    """Ordered products ``(..., d, d)`` of exact segment propagators for
-    Hamiltonians ``(..., n_seg, d, d)`` and durations ``(..., n_seg)`` >= 0."""
-    steps = _segment_propagators(hams, durations)[2]
+def _ordered_product(steps) -> np.ndarray:
+    """``U_{n-1} ... U_1 U_0`` over the segment axis of ``(..., n_seg, d, d)``."""
     if steps.shape[-3] == 0:
         return np.zeros(steps.shape[:-3] + (1, 1), dtype=complex) + np.eye(steps.shape[-1])
     # pairwise products keep the order: (U1 U0), (U3 U2), ... then pairs of those
@@ -168,9 +192,37 @@ def evolve_unitaries(hams, durations) -> np.ndarray:
     return steps[..., 0, :, :]
 
 
+def evolve_unitaries(hams, durations) -> np.ndarray:
+    """Ordered products ``(..., d, d)`` of exact segment propagators for
+    Hamiltonians ``(..., n_seg, d, d)`` and durations ``(..., n_seg)`` >= 0."""
+    return _ordered_product(_segment_propagators(hams, durations)[2])
+
+
 def evolve_unitary(schedule: Schedule) -> np.ndarray:
     """Ordered product of exact per-segment propagators exp(-i H_seg dt_seg)."""
     return evolve_unitaries(schedule.hamiltonians(), schedule.durations())
+
+
+class PropagatorReuse:
+    """:func:`evolve_unitary` over schedules that share segments, bit-identical to it:
+    only segments whose Hamiltonian or duration changed bits (``-0.0`` is not
+    ``+0.0``) are diagonalized again; the others keep their propagators."""
+
+    def __init__(self):
+        self._rows = self._steps = None
+
+    def evolve_unitary(self, schedule: Schedule) -> np.ndarray:
+        hams, durations = schedule.hamiltonians(), schedule.durations()
+        rows = np.column_stack([hams.view(float).reshape(-1, 2 * schedule.dimension**2),
+                                durations]).view(np.uint64)
+        if self._rows is not None and self._rows.shape == rows.shape:
+            changed = np.any(rows != self._rows, axis=1)
+            steps = self._steps.copy()  # a unitary handed out may be a view of the old one
+        else:
+            changed, steps = np.ones(len(rows), dtype=bool), np.empty(hams.shape, dtype=complex)
+        steps[changed] = _segment_propagators(hams[changed], durations[changed])[2]
+        self._rows, self._steps = rows, steps
+        return _ordered_product(steps)
 
 
 def sample_states(schedule: Schedule, psi0, times) -> np.ndarray:
@@ -183,7 +235,7 @@ def sample_states(schedule: Schedule, psi0, times) -> np.ndarray:
     """
     times = np.asarray(times, dtype=float)
     bounds = schedule.boundaries()
-    n = len(schedule.segments)
+    n = len(schedule.durations())
     vals, vecs, steps = _segment_propagators(schedule.hamiltonians(), schedule.durations())
     starts = np.empty((n + 1, schedule.dimension), dtype=complex)
     starts[0] = psi0
@@ -240,9 +292,9 @@ def evolve_state_stepper(schedule: Schedule, psi0, dt: float) -> Trajectory:
     times = [0.0]
     states = [psi.copy()]
     t = 0.0
-    for seg, h in zip(schedule.segments, hams):
-        nsteps = max(1, int(math.ceil(seg.duration / dt)))
-        hstep = seg.duration / nsteps
+    for duration, h in zip(schedule.durations().tolist(), hams):
+        nsteps = max(1, int(math.ceil(duration / dt)))
+        hstep = duration / nsteps
         for _ in range(nsteps):
             psi = _rk4_step(h, psi, hstep)
             t += hstep

@@ -37,15 +37,22 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .dynamics import Schedule, Segment, evolve_state
+from .dynamics import Schedule, evolve_state
 
 
 class FluxonStalled(RuntimeError):
     """The fluxon failed to reach the far boundary within the time budget."""
+
+
+def _require_finite(cfg) -> None:
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,7 @@ class LJJConfig:
     require_exit: bool = True
 
     def __post_init__(self):
+        _require_finite(self)
         if self.length < 16.0:
             raise ValueError("junction must be at least 16 Josephson lengths "
                              "(several fluxon widths)")
@@ -110,6 +118,7 @@ class InterferometerConfig:
     coupling: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.ic1 < 0:
             raise ValueError("ic1 must be >= 0")
         if self.alpha_j <= 0 or self.inductance <= 0:
@@ -211,17 +220,27 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
     exited = False
     damp_plus = 1.0 + 0.5 * alpha_x * dt
     damp_minus = 1.0 - 0.5 * alpha_x * dt
+    dx2, dt2 = dx**2, dt**2
+    lap, force, phi_next, tmp = (np.empty(n) for _ in range(4))
+    inner = lap[1:-1]
 
     step = 0
     while step < nsteps:  # nsteps shrinks once the fluxon has exited
-        lap = np.empty(n)
-        lap[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx**2
-        lap[0] = 2.0 * (phi[1] - phi[0]) / dx**2
-        lap[-1] = 2.0 * (phi[-2] - phi[-1]) / dx**2
-        force = lap - np.sin(phi) + cfg.i_b
-        phi_next = (2.0 * phi - damp_minus * phi_prev + dt**2 * force) / damp_plus
+        # in place, in this order: lap = phi_xx, force = lap - sin(phi) + i_b,
+        # phi_next = (2 phi - damp_minus phi_prev + dt^2 force) / damp_plus
+        np.subtract(phi[2:], np.multiply(2.0, phi[1:-1], out=inner), out=inner)
+        np.divide(np.add(inner, phi[:-2], out=inner), dx2, out=inner)
+        lap[0] = 2.0 * (phi[1] - phi[0]) / dx2
+        lap[-1] = 2.0 * (phi[-2] - phi[-1]) / dx2
+        np.add(np.subtract(lap, np.sin(phi, out=force), out=force), cfg.i_b, out=force)
+        np.subtract(np.multiply(2.0, phi, out=phi_next),
+                    np.multiply(damp_minus, phi_prev, out=tmp), out=phi_next)
+        np.add(phi_next, np.multiply(dt2, force, out=tmp), out=phi_next)
+        np.divide(phi_next, damp_plus, out=phi_next)
 
         if step % stride == 0:
+            if not np.all(np.isfinite(phi_next)):
+                raise RuntimeError("sine-Gordon integration diverged")
             pos = _fluxon_position(x, phi, level)
             times.append(step * dt)
             frames.append(phi.copy())
@@ -231,10 +250,10 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
                 exited = True
                 # keep integrating a little so the tap waveform settles
                 nsteps = min(nsteps, step + int(10.0 / dt))
-        phi_prev, phi = phi, phi_next
-        if not np.all(np.isfinite(phi)):
-            raise RuntimeError("sine-Gordon integration diverged")
+        phi_prev, phi, phi_next = phi, phi_next, phi_prev
         step += 1
+    if not np.all(np.isfinite(phi)):
+        raise RuntimeError("sine-Gordon integration diverged")
 
     if cfg.require_exit and not exited:
         raise FluxonStalled(
@@ -252,15 +271,13 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
     if len(charge) >= win:
         kernel = np.ones(win) / win
         smooth = np.convolve(charge, kernel, mode="valid")
-        in_domain = np.array([not math.isnan(p) and p < exit_x
-                              for p in positions[win - 1:]])
+        in_domain = positions[win - 1:] < exit_x  # nan once exited
         charge_drift = float(np.max(np.abs(smooth[in_domain] - 1.0))) \
             if np.any(in_domain) else float(np.max(np.abs(smooth - 1.0)))
     else:
         charge_drift = float(np.max(np.abs(charge - 1.0)))
     velocity = math.nan
-    valid = ~np.isnan(positions)
-    window = valid & (positions > cfg.kink_position + 4.0) & (positions < exit_x - 1.0)
+    window = (positions > cfg.kink_position + 4.0) & (positions < exit_x - 1.0)  # nan: False
     if np.count_nonzero(window) >= 3:
         coeff = np.polyfit(times[window], positions[window], 1)
         velocity = float(coeff[0])
@@ -423,18 +440,6 @@ def waveform_segments(wave: Waveform, max_segments: int = 150,
     return pairs
 
 
-def control_segments(wave: Waveform, scale: float, qubit: int,
-                     j: float = 0.0, max_segments: int = 150) -> list[Segment]:
-    """Schedule segments driving one register qubit with a scaled waveform."""
-    segs = []
-    for duration, value in waveform_segments(wave, max_segments=max_segments):
-        if qubit == 1:
-            segs.append(Segment(duration, e1=scale * value, j=j))
-        else:
-            segs.append(Segment(duration, e2=scale * value, j=j))
-    return segs
-
-
 # ---------------------------------------------------------------------------
 # end-to-end demonstration
 
@@ -492,18 +497,22 @@ def end_to_end_demo(target: str, delta: float = math.tau * 0.25, j: float = 0.3,
     pairs = waveform_segments(wave, max_segments=max_segments)
     if not pairs:
         raise RuntimeError("shaped waveform is null; check the amplitude stage config")
-    area = abs(sum(d * v for d, v in pairs))
+    signed_area = sum(d * v for d, v in pairs)
+    n = len(pairs)
+    durations = np.array([d for d, _ in pairs] * 2 + [0.0])
+    values = np.array([v for _, v in pairs])
 
     def build(p: np.ndarray) -> Schedule:
+        # qubit 1 driven by the shaped pulse, then qubit 2, coupling on; then a free tail
         s1, s2, tail = p
-        segs = [Segment(d, e1=s1 * v, j=j) for d, v in pairs]
-        segs += [Segment(d, e2=s2 * v, j=j) for d, v in pairs]
-        segs.append(Segment(max(tail, 1e-6)))
-        return Schedule(delta1=delta, delta2=delta, dimension=4,
-                        segments=tuple(segs))
+        controls = np.zeros((2 * n + 1, 3))
+        controls[:n, 0] = s1 * values
+        controls[n:2 * n, 1] = s2 * values
+        controls[:2 * n, 2] = j
+        durations[-1] = max(tail, 1e-6)
+        return Schedule.from_arrays(delta, durations, controls, delta2=delta, dimension=4)
 
-    sign = 1.0 if sum(d * v for d, v in pairs) >= 0 else -1.0
-    s1_seed = sign * math.pi / area
+    s1_seed = math.pi / signed_area
     s2_seed = s1_seed if target == "inversion" else 0.5 * s1_seed
     tail_seed = 0.5 * math.pi / delta if delta else 1e-3
     seed = np.array([s1_seed, s2_seed, tail_seed])

@@ -21,12 +21,12 @@ from . import analytic
 from .core import bloch_vector, gate_fidelity, state_fidelity
 from .dynamics import (
     LindbladParams,
+    PropagatorReuse,
     Schedule,
     Segment,
     evolve_lindblad,
     evolve_state,
     evolve_unitaries,
-    evolve_unitary,
     sample_states,
 )
 
@@ -53,7 +53,12 @@ class SweepSpec:
     axis1: Axis
     axis2: Axis
     fixed: dict = field(default_factory=dict)
-    observable: int = 0
+    observable: int = 0  # the qubit basis population a single-qubit sweep reports
+
+    def __post_init__(self):
+        if self.observable not in (0, 1):
+            raise ValueError(f"observable must be a qubit basis index, 0 or 1, "
+                             f"got {self.observable}")
 
 
 @dataclass(frozen=True)
@@ -286,13 +291,12 @@ def peak_positions(x, y) -> np.ndarray:
 
 def _golden_section(f, lo: float, hi: float, rel_tol: float = 1e-7,
                     max_iter: int = 80):
-    """Deterministic golden-section minimization on [lo, hi]; returns (x, f(x), evals)."""
+    """Deterministic golden-section minimization on [lo, hi]; returns (x, f(x))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    evals = 2
     span0 = b - a
     for _ in range(max_iter):
         if b - a <= rel_tol * span0:
@@ -305,10 +309,9 @@ def _golden_section(f, lo: float, hi: float, rel_tol: float = 1e-7,
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-        evals += 1
     if fc < fd:
-        return c, fc, evals
-    return d, fd, evals
+        return c, fc
+    return d, fd
 
 
 _MAX_SWEEPS = 12  # coordinate sweeps per calibration, at most
@@ -340,9 +343,10 @@ def calibrate_pulse(target, template, bounds, seed, tol: float = 1e-4,
     if len(params) > 6:
         raise ValueError("template may have at most 6 free parameters")
     evals = 0
+    evolve = PropagatorReuse().evolve_unitary  # a coordinate step re-diagonalizes only its rows
 
     def fidelity_of(p) -> float:
-        u = evolve_unitary(template(np.asarray(p, dtype=float)))
+        u = evolve(template(np.asarray(p, dtype=float)))
         if kind == "unitary":
             return gate_fidelity(goal, u)
         psi = u[:, 0]  # evolved from the ground state
@@ -363,24 +367,16 @@ def calibrate_pulse(target, template, bounds, seed, tol: float = 1e-4,
         for _ in range(_MAX_SWEEPS):
             improved = best
             for i, (lo, hi) in enumerate(bounds):
-                # coarse scan keeps the oscillatory objective from trapping
-                # the golden-section refinement in a secondary minimum
-                xs = np.linspace(lo, hi, _COARSE_POINTS)
-                fs = []
-                for x in xs:
-                    p = params.copy()
-                    p[i] = x
-                    fs.append(objective(p))
-                k = int(np.argmin(fs))
-                blo = xs[max(k - 1, 0)]
-                bhi = xs[min(k + 1, len(xs) - 1)]
-
                 def line(x, i=i):
                     p = params.copy()
                     p[i] = x
                     return objective(p)
 
-                x, fx, _ = _golden_section(line, blo, bhi)
+                # coarse scan keeps the oscillatory objective from trapping
+                # the golden-section refinement in a secondary minimum
+                xs = np.linspace(lo, hi, _COARSE_POINTS)
+                k = int(np.argmin([line(x) for x in xs]))
+                x, fx = _golden_section(line, xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)])
                 if fx < best:
                     best = fx
                     params[i] = x

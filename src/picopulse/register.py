@@ -34,22 +34,6 @@ _FIRST_ORDER_KICK_WARN = 0.1
 
 
 @dataclass(frozen=True)
-class RegisterParams:
-    """Static register parameters (all angular frequencies, rad/ns)."""
-
-    delta1: float
-    delta2: float
-    j: float
-    a1: float = 0.0
-    a2: float = 0.0
-
-    def __post_init__(self):
-        vals = (self.delta1, self.delta2, self.j, self.a1, self.a2)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("register parameters must be finite")
-
-
-@dataclass(frozen=True)
 class ThreeStageSpec:
     """Kick / drive / kick protocol: coupling J for tau1, drives (a1, a2) for tau2, coupling again."""
 
@@ -64,10 +48,6 @@ class ThreeStageSpec:
             raise ValueError("stage durations must be >= 0")
         if not all(math.isfinite(v) for v in (self.j, self.a1, self.a2)):
             raise ValueError("stage parameters must be finite")
-
-    @property
-    def kick_angle(self) -> float:
-        return 0.5 * self.j * self.tau1
 
 
 def coupler_only_eigensystem(delta: float, j: float):

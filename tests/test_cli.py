@@ -370,3 +370,41 @@ def test_integral_float_reads_as_integer(tmp_path):
 def test_zero_pulse_length_exits_2(tmp_path, command, config):
     rc, _ = run(tmp_path, command, config, name="zero.json")
     assert rc == 2
+
+
+PAIR_CFG = {"kind": "pair", "axis1": SWEEP_CFG["axis1"], "axis2": SWEEP_CFG["axis2"],
+            "fixed": {"delta": 0.25, "tau1": 20.0, "tau2": 20.0, "tau_r": 1000.0}}
+
+
+@pytest.mark.parametrize("config", [
+    dict(SWEEP_CFG, observable=5),
+    dict(SWEEP_CFG, observable=2),
+    dict(SWEEP_CFG, observable=-1),
+    dict(PAIR_CFG, observable=-1),
+])
+def test_out_of_range_observable_exits_2(tmp_path, capsys, config):
+    rc, _ = run(tmp_path, "sweep", config, name="observable.json")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "observable" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,spec", [
+    c for c in CONVENTION_CASES if c.id in ("sweep-coupler", "sweep-three-stage",
+                                            "sweep-register-pair")])
+def test_observable_rejected_where_the_kind_ignores_it(tmp_path, capsys, command, spec):
+    cyclic, _ = both_conventions(spec)
+    rc, _ = run(tmp_path, command, dict(cyclic, observable=0), name="ignored.json")
+    assert rc == 2
+    assert "observable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,field", [
+    ({"ljj": {"i_b": 0.2, "kink_position": math.nan}}, "kink_position"),
+    ({"ljj": {"i_b": 0.2, "absorber_alpha": math.inf}}, "absorber_alpha"),
+    ({"amp": {"ic1": math.nan}}, "ic1"),
+])
+def test_non_finite_shaper_fields_exit_2(tmp_path, capsys, config, field):
+    rc, _ = run(tmp_path, "shape", config, name="nonfinite.json")
+    assert rc == 2
+    assert field in capsys.readouterr().err

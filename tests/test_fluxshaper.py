@@ -35,6 +35,34 @@ def test_config_validation():
         fs.Waveform(dt=0.1, samples=np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("config", [
+    lambda: fs.LJJConfig(kink_position=math.nan),
+    lambda: fs.LJJConfig(absorber_alpha=math.inf),
+    lambda: fs.LJJConfig(t_max=math.inf),
+    lambda: fs.LJJConfig(dt=math.nan),
+    lambda: fs.InterferometerConfig(ic1=math.nan),
+    lambda: fs.InterferometerConfig(coupling=-math.inf),
+])
+def test_config_rejects_non_finite_fields(config):
+    with pytest.raises(ValueError, match="must be finite"):
+        config()
+
+
+def test_divergence_is_detected(monkeypatch):
+    # configs can no longer carry a non-finite phase in, so plant one in the kink
+    profile = fs._kink_profile
+
+    def poisoned(*args):
+        phi = profile(*args)
+        phi[len(phi) // 2] = math.inf
+        return phi
+
+    monkeypatch.setattr(fs, "_kink_profile", poisoned)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(RuntimeError, match="sine-Gordon integration diverged"):
+            fs.simulate_ljj_fluxon(fs.LJJConfig())
+
+
 def test_power_balance_velocity_limits():
     assert fs.power_balance_velocity(0.0, 0.05) == 0.0
     assert fs.power_balance_velocity(0.2, 0.05) < 1.0
@@ -186,11 +214,15 @@ def test_waveform_segments_preserve_area(default_loop):
     assert area == pytest.approx(full, rel=1e-6)
 
 
-def test_control_segments_target_selected_qubit(default_loop):
-    segs1 = fs.control_segments(default_loop, 2.0, qubit=1)
-    segs2 = fs.control_segments(default_loop, 2.0, qubit=2, j=0.1)
-    assert all(s.e2 == 0.0 for s in segs1)
-    assert all(s.e1 == 0.0 and s.j == 0.1 for s in segs2)
+def test_demo_schedule_drives_qubit_1_then_qubit_2():
+    demo = fs.end_to_end_demo("inversion", j=0.1)
+    controls = demo.schedule.controls
+    n = (len(controls) - 1) // 2
+    assert len(controls) == 2 * n + 1 and n > 0
+    first, second, tail = controls[:n], controls[n:2 * n], controls[2 * n]
+    assert np.all(first[:, 1] == 0.0) and np.any(first[:, 0] != 0.0)
+    assert np.all(second[:, 0] == 0.0) and np.any(second[:, 1] != 0.0)
+    assert np.all(controls[:2 * n, 2] == 0.1) and np.all(tail == 0.0)
 
 
 def test_calibrated_pi_area_pulse_flips_single_qubit(default_run):
