@@ -161,8 +161,9 @@ def _write_json(path: Path, payload: dict) -> Path:
 
 
 def _write_manifest(out: Path, command: str, config: dict, convention: str,
-                    outputs: list[Path], wall_time: float) -> None:
+                    outputs: list[Path], wall_time: float, extra: dict) -> None:
     _write_json(out / "manifest.json", {
+        **extra,
         "command": command,
         "config": config,
         "convention": convention,
@@ -229,18 +230,20 @@ def cmd_ramsey(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
     return [path]
 
 
-def cmd_lindblad(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
+def cmd_lindblad(config: dict, out: Path, conv: UnitConvention) -> tuple[list[Path], dict]:
     cfg, delays = _delay_scan(config, _LINDBLAD, conv)
     amplitude, delta, tau = cfg["amplitude"], cfg["delta"], cfg["tau"]
     lp = LindbladParams(gamma=cfg["gamma"], gamma_phi=cfg["gamma_phi"])
-    rows = protocols.lindblad_ramsey_scan(amplitude, delta, tau, delays, lp)
+    finals = protocols.lindblad_ramsey_finals(amplitude, delta, tau, delays, lp)
     path = out / "lindblad.csv"
     _write_csv(path,
                [f"amplitude = {amplitude} rad/ns", f"delta = {delta} rad/ns",
                 f"tau = {tau} ns", f"gamma = {lp.gamma} 1/ns",
                 f"gamma_phi = {lp.gamma_phi} 1/ns"],
-               ["tau_R", "W"], rows)
-    return [path]
+               ["tau_R", "W"], np.column_stack([delays, finals[:, 1, 1].real]))
+    health = {"max_trace_defect": float(np.max(np.abs(np.trace(finals, axis1=1, axis2=2) - 1))),
+              "min_eigenvalue": float(np.min(np.linalg.eigvalsh(finals)))}
+    return [path], {"health": health}
 
 
 def _calibration_target(raw: dict):
@@ -396,8 +399,10 @@ def main(argv=None) -> int:
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    # a command returns its output paths, or those and extra manifest entries
+    outputs, extra = outputs if isinstance(outputs, tuple) else (outputs, {})
     _write_manifest(out, args.command, config, args.convention, outputs,
-                    time.monotonic() - start)
+                    time.monotonic() - start, extra)
     return 0
 
 

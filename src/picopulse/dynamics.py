@@ -25,7 +25,8 @@ equation
 with s+ = |1><0|, so the relaxation channel drives |1> -> |0>.  Temperature
 effects are neglected and the dissipators act at all times, including during
 pulses.  Its superoperator is not normal, so each segment is exponentiated
-with ``scipy.linalg.expm`` rather than through an eigendecomposition.
+with ``scipy.linalg.expm`` rather than through an eigendecomposition, in
+one stacked call per batch in :func:`evolve_lindblad_finals`.
 """
 
 from __future__ import annotations
@@ -170,12 +171,17 @@ class LindbladParams:
             raise ValueError("relaxation rates must be >= 0")
 
 
-def _segment_propagators(hams, durations):
-    """One stacked ``eigh``: eigenvalues, eigenvectors and the exact propagators
-    exp(-i H_seg dt_seg), with durations broadcast against the Hamiltonians."""
+def _checked_durations(durations) -> np.ndarray:
     durations = np.asarray(durations, dtype=float)
     if not np.all(np.isfinite(durations)) or np.any(durations < 0):
         raise ValueError("segment durations must be finite and >= 0")
+    return durations
+
+
+def _segment_propagators(hams, durations):
+    """One stacked ``eigh``: eigenvalues, eigenvectors and the exact propagators
+    exp(-i H_seg dt_seg), with durations broadcast against the Hamiltonians."""
+    durations = _checked_durations(durations)
     vals, vecs = np.linalg.eigh(hams)
     return vals, vecs, spectral_propagators(vals, vecs, durations)
 
@@ -364,7 +370,8 @@ def lindblad_superoperator(h: np.ndarray, lp: LindbladParams) -> np.ndarray:
 
 def evolve_lindblad(schedule: Schedule, rho0, lp: LindbladParams,
                     sample_dt: float) -> Trajectory:
-    """Open-system evolution of a single-qubit density matrix over a schedule."""
+    """Sampled open-system evolution of a single-qubit density matrix over a schedule;
+    for final states alone, :func:`evolve_lindblad_finals` takes a whole batch."""
     if schedule.dimension != 2:
         raise ValueError("open-system evolution is implemented for dimension 2 only")
     rho = check_density_matrix(rho0).copy()
@@ -389,3 +396,19 @@ def evolve_lindblad(schedule: Schedule, rho0, lp: LindbladParams,
         rho = end.reshape(2, 2)
     states[idx:] = rho  # times past the end, and every time of an empty schedule
     return Trajectory(times=times, states=states, kind="density")
+
+
+def evolve_lindblad_finals(hams, durations, rho0, lp: LindbladParams) -> np.ndarray:
+    """Final density matrices ``(..., 2, 2)`` from ``rho0`` for qubit Hamiltonians
+    ``(..., n_seg, 2, 2)`` and durations ``(..., n_seg)`` >= 0, broadcast as in
+    :func:`evolve_unitaries`; one stacked ``expm`` over the distinct generators."""
+    gens = lindblad_superoperator(hams, lp) * _checked_durations(durations)[..., None, None]
+    vec = np.zeros(gens.shape[:-3] + (4,), dtype=complex) + check_density_matrix(rho0).reshape(4)
+    flat = gens.reshape(-1, 4, 4)
+    # equal generator bits give equal propagators; the uint64 view tells -0.0 from +0.0
+    keys = flat.view(float).reshape(-1, 32).view(np.uint64)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    steps = scipy.linalg.expm(flat[first])[inverse.reshape(gens.shape[:-2])]
+    for k in range(steps.shape[-3]):
+        vec = (steps[..., k, :, :] @ vec[..., None])[..., 0]
+    return vec.reshape(vec.shape[:-1] + (2, 2))

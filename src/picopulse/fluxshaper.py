@@ -80,6 +80,9 @@ class LJJConfig:
                              "(several fluxon widths)")
         if not 0.0 <= self.i_b < 1.0:
             raise ValueError(f"normalized bias must be in [0, 1), got {self.i_b}")
+        for name in ("alpha", "absorber_alpha", "absorber_width"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.step > 0.5 * self.dx:
             raise ValueError(f"dt = {self.step:.4g} violates the CFL bound "
                              f"0.5*dx = {0.5 * self.dx:.4g}")

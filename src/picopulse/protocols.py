@@ -5,7 +5,7 @@ Sweep axes are dimensionless by default (pulse areas and amplitudes in rad/ns
 against times in ns); the CLI layer applies unit conversions.  A sweep makes
 one :mod:`picopulse.dynamics` core call per axis1 value, not per cell: it
 samples that value's schedule at every axis2 time, or (three-stage) batches
-one segment's length over the axis2 values, as the Ramsey scan batches all
+one segment's length over the axis2 values, as each delay scan batches all
 its delays.  Every cell equals an independent propagation, which the
 test-suite checks.
 """
@@ -24,7 +24,7 @@ from .dynamics import (
     PropagatorReuse,
     Schedule,
     Segment,
-    evolve_lindblad,
+    evolve_lindblad_finals,
     evolve_state,
     evolve_unitaries,
     sample_states,
@@ -165,12 +165,18 @@ def _sampled_populations(spec: SweepSpec, schedule_of) -> np.ndarray:
     return np.array(rows)
 
 
+def _scan_durations(schedule: Schedule, k: int, lengths) -> np.ndarray:
+    """``schedule``'s durations, one row per entry of ``lengths``, which segment ``k`` lasts."""
+    durations = np.repeat(schedule.durations()[None], len(lengths), axis=0)
+    durations[:, k] = lengths
+    return durations
+
+
 def _final_populations(schedule: Schedule, k: int, lengths) -> np.ndarray:
     """Populations ``(len(lengths), d)`` after ``schedule`` from the ground state,
     with segment ``k`` lasting each of ``lengths``: one batched core call."""
-    durations = np.repeat(schedule.durations()[None], len(lengths), axis=0)
-    durations[:, k] = lengths
-    return np.abs(evolve_unitaries(schedule.hamiltonians(), durations)[:, :, 0]) ** 2
+    return np.abs(evolve_unitaries(schedule.hamiltonians(),
+                                   _scan_durations(schedule, k, lengths))[:, :, 0]) ** 2
 
 
 def sweep_single_pulse(spec: SweepSpec) -> SweepGrid:
@@ -241,17 +247,19 @@ def ramsey_delay_scan(amplitude: float, delta: float, tau: float,
     return np.column_stack([delays, w_num, w_ana])
 
 
+def lindblad_ramsey_finals(amplitude: float, delta: float, tau: float,
+                           tau_r_values, lp: LindbladParams) -> np.ndarray:
+    """The final density matrices of :func:`lindblad_ramsey_scan`, in one batched call."""
+    template = pulse_pair_schedule(amplitude, tau, tau, tau, delta)
+    durations = _scan_durations(template, 1, tau_r_values)
+    return evolve_lindblad_finals(template.hamiltonians(), durations, np.diag([1.0, 0.0]), lp)
+
+
 def lindblad_ramsey_scan(amplitude: float, delta: float, tau: float,
                          tau_r_values, lp: LindbladParams) -> np.ndarray:
     """Columns (tau_r, W) with the master equation active at all times."""
-    rho0 = np.zeros((2, 2), dtype=complex)
-    rho0[0, 0] = 1.0
-    rows = []
-    for tau_r in np.asarray(tau_r_values, dtype=float):
-        sched = pulse_pair_schedule(amplitude, tau, tau, tau_r, delta)
-        traj = evolve_lindblad(sched, rho0, lp, sched.total_duration)
-        rows.append((tau_r, float(traj.final[1, 1].real)))
-    return np.array(rows)
+    finals = lindblad_ramsey_finals(amplitude, delta, tau, tau_r_values, lp)
+    return np.column_stack([np.asarray(tau_r_values, dtype=float), finals[:, 1, 1].real])
 
 
 def bloch_trajectory(schedule: Schedule, psi0, sample_dt: float) -> np.ndarray:

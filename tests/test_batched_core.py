@@ -272,3 +272,137 @@ def test_batched_durations_must_be_finite_and_non_negative(bad):
     assert identity.shape == (1, 2, 2) and np.max(np.abs(identity - np.eye(2))) <= 1e-15
     with pytest.raises(ValueError):
         dynamics.evolve_unitaries(hams, [[0.1, 0.2], [0.1, bad]])
+
+
+# ---------------------------------------------------------------------------
+# open-system final states against per-segment expm of Kronecker superoperators
+
+SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |1> -> |0>
+rates = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+def kron_superoperator(h, gamma, gamma_phi):
+    """Row-major vec: vec(A rho B) = (A kron B^T) vec(rho)."""
+    ndn = SM.conj().T @ SM
+    return (-1j * (np.kron(h, I2) - np.kron(I2, h.T))
+            + gamma * (np.kron(SM, SM.conj()) - 0.5 * (np.kron(ndn, I2) + np.kron(I2, ndn.T)))
+            + gamma_phi * (np.kron(SZ, SZ) - np.eye(4)))
+
+
+def reference_lindblad_final(hams, durs, rho0, gamma, gamma_phi):
+    vec = np.asarray(rho0, dtype=complex).reshape(4)
+    for h, dt in zip(hams, durs):
+        vec = scipy.linalg.expm(kron_superoperator(h, gamma, gamma_phi) * dt) @ vec
+    return vec.reshape(2, 2)
+
+
+@st.composite
+def density_matrices(draw):
+    a = np.array([[complex(draw(controls), draw(controls)) for _ in range(2)]
+                  for _ in range(2)])
+    rho = a @ a.conj().T
+    if np.trace(rho).real < 1e-3:
+        rho = np.diag([1.0, 0.0]).astype(complex)
+    return rho / np.trace(rho).real
+
+
+@st.composite
+def open_schedules(draw, batch=None):
+    """Detuning, drives ``(n_seg,)`` and durations ``(n_seg,)`` or ``(batch, n_seg)``,
+    some of them zero."""
+    n = draw(st.integers(1, 6))
+    e1 = np.array([draw(controls) for _ in range(n)])
+    shape = (n,) if batch is None else (batch, n)
+    lengths = st.lists(st.one_of(st.just(0.0), durations), min_size=int(np.prod(shape)),
+                       max_size=int(np.prod(shape)))
+    return draw(controls), e1, np.array(draw(lengths)).reshape(shape)
+
+
+def qubit_hamiltonians(delta, e1):
+    return core.hamiltonians(np.column_stack([np.full(len(e1), delta), e1]))
+
+
+def assert_physical(rhos):
+    rhos = rhos.reshape(-1, 2, 2)
+    assert np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0)) <= 1e-10
+    assert np.min(np.linalg.eigvalsh(rhos)) >= -1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(open_schedules(), density_matrices(), rates, rates)
+def test_lindblad_finals_match_per_segment_expm(schedule, rho0, gamma, gamma_phi):
+    delta, e1, durs = schedule
+    hams, lp = qubit_hamiltonians(delta, e1), dynamics.LindbladParams(gamma, gamma_phi)
+    final = dynamics.evolve_lindblad_finals(hams, durs, rho0, lp)
+    assert final.shape == (2, 2)
+    assert np.max(np.abs(final - reference_lindblad_final(hams, durs, rho0, gamma,
+                                                          gamma_phi))) <= 1e-12
+    # a zero-length segment is the identity, and a Schedule leaves it out
+    kept = durs > 0
+    controls_kept = np.column_stack([e1[kept], np.zeros((int(kept.sum()), 2))])
+    sched = Schedule.from_arrays(delta, durs[kept], controls_kept)
+    traj = dynamics.evolve_lindblad(sched, rho0, lp, 0.1)
+    assert np.max(np.abs(final - traj.final)) <= 1e-12
+    assert_physical(final)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda b: open_schedules(batch=b)), density_matrices(),
+       rates, rates)
+def test_lindblad_finals_batch_shares_one_hamiltonian_stack(schedule, rho0, gamma, gamma_phi):
+    delta, e1, durs = schedule
+    hams, lp = qubit_hamiltonians(delta, e1), dynamics.LindbladParams(gamma, gamma_phi)
+    finals = dynamics.evolve_lindblad_finals(hams, durs, rho0, lp)
+    assert finals.shape == (len(durs), 2, 2)
+    for final, row in zip(finals, durs):
+        ref = reference_lindblad_final(hams, row, rho0, gamma, gamma_phi)
+        assert np.max(np.abs(final - ref)) <= 1e-12
+    assert_physical(finals)
+
+
+def test_lindblad_finals_of_empty_schedule_is_rho0():
+    rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    final = dynamics.evolve_lindblad_finals(np.zeros((0, 2, 2)), np.zeros(0), rho0,
+                                            dynamics.LindbladParams(0.5, 0.5))
+    assert np.array_equal(final, rho0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_lindblad_finals_reject_bad_durations(bad):
+    hams = core.hamiltonians([(1.0, 2.0), (1.0, 0.0)])
+    with pytest.raises(ValueError, match="durations"):
+        dynamics.evolve_lindblad_finals(hams, [[0.1, 0.2], [0.1, bad]], np.diag([1.0, 0.0]),
+                                        dynamics.LindbladParams(0.1, 0.1))
+
+
+def test_lindblad_scan_makes_one_stacked_expm(monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda a: calls.append(np.shape(a)) or expm(a))
+    delays = np.concatenate([np.linspace(0.0, 8.0, 30), [2.0, 0.0]])
+    rows = protocols.lindblad_ramsey_scan(40.0, 1.5, 0.02, delays,
+                                          dynamics.LindbladParams(0.3, 0.6))
+    assert calls == [(len(np.unique(delays)) + 1, 4, 4)]
+    assert np.array_equal(rows[:, 0], delays)
+
+
+@settings(max_examples=30, deadline=None)
+@given(controls, controls, durations, rates, rates,
+       st.lists(st.one_of(st.just(0.0), durations), min_size=1, max_size=6))
+def test_lindblad_scan_matches_per_delay_evolution(amplitude, delta, tau, gamma, gamma_phi,
+                                                   delays):
+    lp = dynamics.LindbladParams(gamma, gamma_phi)
+    rows = protocols.lindblad_ramsey_scan(amplitude, delta, tau, delays, lp)
+    rho0 = np.diag([1.0, 0.0]).astype(complex)
+    for (_, w), tau_r in zip(rows, delays):
+        sched = protocols.pulse_pair_schedule(amplitude, tau, tau, tau_r, delta)
+        final = dynamics.evolve_lindblad(sched, rho0, lp, sched.total_duration).final
+        assert abs(w - final[1, 1].real) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_lindblad_scan_rejects_bad_delays(bad):
+    with pytest.raises(ValueError, match="durations"):
+        protocols.lindblad_ramsey_scan(40.0, 1.5, 0.02, [0.5, 0.0, bad],
+                                       dynamics.LindbladParams(0.3, 0.6))

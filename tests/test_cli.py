@@ -122,6 +122,25 @@ def test_lindblad_scan_runs(tmp_path):
     assert np.all((rows[:, 1] >= 0) & (rows[:, 1] <= 1))
 
 
+def test_lindblad_manifest_reports_health(tmp_path):
+    cfg = dict(RAMSEY_CFG, gamma=0.05, gamma_phi=0.1)
+    rc, out = run(tmp_path, "lindblad", cfg, name="health.json")
+    assert rc == 0
+    health = json.loads((out / "manifest.json").read_text())["health"]
+    assert health["max_trace_defect"] <= 1e-10
+    assert health["min_eigenvalue"] >= -1e-8
+
+
+@pytest.mark.parametrize("command,extra", [("ramsey", {}),
+                                           ("lindblad", {"gamma": 0.05, "gamma_phi": 0.1})])
+def test_negative_delays_exit_2(tmp_path, capsys, command, extra):
+    cfg = dict(RAMSEY_CFG, tau_r={"start": -100.0, "stop": 100.0, "count": 5}, **extra)
+    rc, out = run(tmp_path, command, cfg, name="negdelay.json")
+    assert rc == 2
+    assert "durations" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 CAL_CFG = {
     "target": {"kind": "state", "name": "flip"},
     "template": {"type": "single-pulse", "delta": 1.5707963267948966},
@@ -406,5 +425,13 @@ def test_observable_rejected_where_the_kind_ignores_it(tmp_path, capsys, command
 ])
 def test_non_finite_shaper_fields_exit_2(tmp_path, capsys, config, field):
     rc, _ = run(tmp_path, "shape", config, name="nonfinite.json")
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("alpha", -100.0), ("absorber_alpha", -50.0),
+                                         ("absorber_width", -4.0)])
+def test_negative_damping_exits_2(tmp_path, capsys, field, value):
+    rc, _ = run(tmp_path, "shape", {"ljj": {"i_b": 0.2, field: value}}, name="negdamp.json")
     assert rc == 2
     assert field in capsys.readouterr().err
