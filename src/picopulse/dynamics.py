@@ -11,8 +11,9 @@ index a batch of schedules, get one stacked ``eigh``, and
 exact segment propagators, which :func:`evolve_unitaries` multiplies in
 order.  :func:`evolve_unitary` is its batch-of-one case for a schedule, and
 :class:`PropagatorReuse` its form for a sequence of schedules that share
-segments, as in a calibration.  :func:`sample_states` (behind
-:func:`evolve_state` and ``protocols.populations_at``) evolves each sample
+segments, as in a calibration.  One sampler serves closed and open systems:
+:func:`sample_states` (behind :func:`evolve_state` and
+``protocols.populations_at``) and :func:`evolve_lindblad` evolve each sample
 time from the state at the start of its segment.  A classic 4th-order
 explicit stepper is kept as an independent cross-check (deliberately without
 renormalization), and a cosine-driven lab-frame integrator covers the one
@@ -24,9 +25,9 @@ equation
 
 with s+ = |1><0|, so the relaxation channel drives |1> -> |0>.  Temperature
 effects are neglected and the dissipators act at all times, including during
-pulses.  Its superoperator is not normal, so each segment is exponentiated
-with ``scipy.linalg.expm`` rather than through an eigendecomposition, in
-one stacked call per batch in :func:`evolve_lindblad_finals`.
+pulses.  Its superoperator is not normal, so ``scipy.linalg.expm``
+exponentiates it, in one stacked call over the distinct generators per
+open-system call.
 """
 
 from __future__ import annotations
@@ -167,8 +168,9 @@ class LindbladParams:
     gamma_phi: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0 or self.gamma_phi < 0:
-            raise ValueError("relaxation rates must be >= 0")
+        for name, rate in (("gamma", self.gamma), ("gamma_phi", self.gamma_phi)):
+            if not (rate >= 0 and math.isfinite(rate)):
+                raise ValueError(f"{name} must be finite and >= 0, got {rate}")
 
 
 def _checked_durations(durations) -> np.ndarray:
@@ -179,11 +181,50 @@ def _checked_durations(durations) -> np.ndarray:
 
 
 def _segment_propagators(hams, durations):
-    """One stacked ``eigh``: eigenvalues, eigenvectors and the exact propagators
-    exp(-i H_seg dt_seg), with durations broadcast against the Hamiltonians."""
-    durations = _checked_durations(durations)
+    """Exact propagators exp(-i H_seg dt_seg), durations broadcast, from one ``eigh``."""
     vals, vecs = np.linalg.eigh(hams)
-    return vals, vecs, spectral_propagators(vals, vecs, durations)
+    return spectral_propagators(vals, vecs, _checked_durations(durations))
+
+
+def _expm_distinct(gens) -> np.ndarray:
+    """``scipy.linalg.expm`` of each generator ``(..., 4, 4)``, in one stacked call over
+    the distinct ones: equal bits give equal exponentials (-0.0 is not +0.0)."""
+    flat = np.ascontiguousarray(gens, dtype=complex).reshape(-1, 16)
+    keys, inverse = np.unique(flat.view(np.dtype((np.void, 256))).ravel(), return_inverse=True)
+    return scipy.linalg.expm(keys.view(complex).reshape(-1, 4, 4))[inverse].reshape(gens.shape)
+
+
+def _boundary_states(steps, v0) -> np.ndarray:
+    """States ``(..., n_seg + 1, d)`` at every segment boundary, from ``v0`` and the
+    segment propagators ``(..., n_seg, d, d)`` applied in order."""
+    steps = np.swapaxes(steps, 0, -3)  # segments first; the swap back restores the batch axes
+    states = np.empty((len(steps) + 1,) + steps.shape[1:-1] + (1,), dtype=complex)
+    states[0] = np.reshape(v0, (-1, 1))
+    for step, before, after in zip(steps, states[:-1], states[1:]):
+        np.matmul(step, before, out=after)
+    return np.swapaxes(states[..., 0], 0, -2)
+
+
+def _sample(durations, v0, times, propagators) -> np.ndarray:
+    """States ``(len(times), d)`` from ``v0`` at sample times (any order).
+
+    A time is evolved from the state at the start of the first segment that
+    ends at or after it (within ``BOUNDARY_TOL``): a time on a boundary is the
+    end of the earlier segment, times before 0 give ``v0`` and times past the
+    end the final state.  ``propagators(k, dt)``, for segments ``k`` over times
+    ``dt``, is called once, for every whole segment and every sample together."""
+    times = np.asarray(times, dtype=float)
+    n = len(durations)
+    bounds = np.concatenate([[0.0], np.cumsum(durations)])
+    seg = np.searchsorted(bounds[1:] + BOUNDARY_TOL, times)
+    inside = seg < n
+    k = seg[inside]
+    dt = np.maximum(times[inside] - bounds[k], 0.0)
+    steps = propagators(np.concatenate([np.arange(n), k]), np.concatenate([durations, dt]))
+    starts = _boundary_states(steps[:n], v0)
+    states = starts[seg]  # seg == n past the end: the final state
+    states[inside] = (steps[n:] @ starts[k][:, :, None])[:, :, 0]
+    return states
 
 
 def _ordered_product(steps) -> np.ndarray:
@@ -201,7 +242,7 @@ def _ordered_product(steps) -> np.ndarray:
 def evolve_unitaries(hams, durations) -> np.ndarray:
     """Ordered products ``(..., d, d)`` of exact segment propagators for
     Hamiltonians ``(..., n_seg, d, d)`` and durations ``(..., n_seg)`` >= 0."""
-    return _ordered_product(_segment_propagators(hams, durations)[2])
+    return _ordered_product(_segment_propagators(hams, durations))
 
 
 def evolve_unitary(schedule: Schedule) -> np.ndarray:
@@ -226,35 +267,17 @@ class PropagatorReuse:
             steps = self._steps.copy()  # a unitary handed out may be a view of the old one
         else:
             changed, steps = np.ones(len(rows), dtype=bool), np.empty(hams.shape, dtype=complex)
-        steps[changed] = _segment_propagators(hams[changed], durations[changed])[2]
+        steps[changed] = _segment_propagators(hams[changed], durations[changed])
         self._rows, self._steps = rows, steps
         return _ordered_product(steps)
 
 
 def sample_states(schedule: Schedule, psi0, times) -> np.ndarray:
-    """States at arbitrary sample times (any order), shape ``(len(times), d)``.
-
-    A time is evolved from the state at the start of the first segment that
-    ends at or after it (within ``BOUNDARY_TOL``), so a time on a boundary is
-    the end of the earlier segment.  Times before 0 give ``psi0``; times past
-    the end give the final state.
-    """
-    times = np.asarray(times, dtype=float)
-    bounds = schedule.boundaries()
-    n = len(schedule.durations())
-    vals, vecs, steps = _segment_propagators(schedule.hamiltonians(), schedule.durations())
-    starts = np.empty((n + 1, schedule.dimension), dtype=complex)
-    starts[0] = psi0
-    for k in range(n):
-        starts[k + 1] = steps[k] @ starts[k]
-    seg = np.searchsorted(bounds[1:] + BOUNDARY_TOL, times)
-    states = starts[seg]  # seg == n past the end: the final state
-    inside = seg < n
-    k = seg[inside]
-    dt = np.maximum(times[inside] - bounds[k], 0.0)
-    states[inside] = (spectral_propagators(vals[k], vecs[k], dt)
-                      @ starts[k][:, :, None])[:, :, 0]
-    return states
+    """States ``(len(times), d)`` at sample times in any order: a boundary time ends the
+    earlier segment, times before 0 give ``psi0`` and times past the end the final state."""
+    vals, vecs = np.linalg.eigh(schedule.hamiltonians())
+    return _sample(schedule.durations(), psi0, times,
+                   lambda k, dt: spectral_propagators(vals[k], vecs[k], dt))
 
 
 def _sample_grid(schedule: Schedule, sample_dt: float) -> np.ndarray:
@@ -374,28 +397,12 @@ def evolve_lindblad(schedule: Schedule, rho0, lp: LindbladParams,
     for final states alone, :func:`evolve_lindblad_finals` takes a whole batch."""
     if schedule.dimension != 2:
         raise ValueError("open-system evolution is implemented for dimension 2 only")
-    rho = check_density_matrix(rho0).copy()
+    vec0 = check_density_matrix(rho0).reshape(4)
     times = _sample_grid(schedule, sample_dt)
-    states = np.empty((len(times), 2, 2), dtype=complex)
-    bounds = schedule.boundaries()
-    idx = 0
-    for k, lop in enumerate(lindblad_superoperator(schedule.hamiltonians(), lp)):
-        t0, t1 = bounds[k], bounds[k + 1]
-        vec0 = rho.reshape(4)
-        end = scipy.linalg.expm(lop * (t1 - t0)) @ vec0
-        while idx < len(times) and times[idx] <= t1 + BOUNDARY_TOL:
-            dt = times[idx] - t0
-            if dt == 0.0:
-                vec = vec0
-            elif dt == t1 - t0:
-                vec = end
-            else:
-                vec = scipy.linalg.expm(lop * dt) @ vec0
-            states[idx] = vec.reshape(2, 2)
-            idx += 1
-        rho = end.reshape(2, 2)
-    states[idx:] = rho  # times past the end, and every time of an empty schedule
-    return Trajectory(times=times, states=states, kind="density")
+    lops = lindblad_superoperator(schedule.hamiltonians(), lp)
+    vecs = _sample(schedule.durations(), vec0, times,
+                   lambda k, dt: _expm_distinct(lops[k] * dt[:, None, None]))
+    return Trajectory(times=times, states=vecs.reshape(-1, 2, 2), kind="density")
 
 
 def evolve_lindblad_finals(hams, durations, rho0, lp: LindbladParams) -> np.ndarray:
@@ -403,12 +410,5 @@ def evolve_lindblad_finals(hams, durations, rho0, lp: LindbladParams) -> np.ndar
     ``(..., n_seg, 2, 2)`` and durations ``(..., n_seg)`` >= 0, broadcast as in
     :func:`evolve_unitaries`; one stacked ``expm`` over the distinct generators."""
     gens = lindblad_superoperator(hams, lp) * _checked_durations(durations)[..., None, None]
-    vec = np.zeros(gens.shape[:-3] + (4,), dtype=complex) + check_density_matrix(rho0).reshape(4)
-    flat = gens.reshape(-1, 4, 4)
-    # equal generator bits give equal propagators; the uint64 view tells -0.0 from +0.0
-    keys = flat.view(float).reshape(-1, 32).view(np.uint64)
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    steps = scipy.linalg.expm(flat[first])[inverse.reshape(gens.shape[:-2])]
-    for k in range(steps.shape[-3]):
-        vec = (steps[..., k, :, :] @ vec[..., None])[..., 0]
-    return vec.reshape(vec.shape[:-1] + (2, 2))
+    vec = _boundary_states(_expm_distinct(gens), check_density_matrix(rho0).reshape(4))
+    return vec[..., -1, :].reshape(vec.shape[:-2] + (2, 2))

@@ -137,8 +137,8 @@ class Waveform:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("sample period must be > 0")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"sample period must be finite and > 0, got {self.dt}")
         samples = np.asarray(self.samples, dtype=float)
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform contains non-finite samples")
@@ -382,6 +382,8 @@ def shape_control_pulse(ljj: LJJConfig, amp: InterferometerConfig,
     into ns (set by the junction plasma frequency).  The fluxon's ``velocity``
     and ``charge_drift`` from the LJJ solve are handed out in ``meta``.
     """
+    if not (time_scale > 0 and math.isfinite(time_scale)):
+        raise ValueError(f"time_scale must be finite and > 0, got {time_scale}")
     result = simulate_ljj_fluxon(ljj)
     loop = loop_flux_waveform(result, ljj)
     current = simulate_amplitude_stage(loop, amp)

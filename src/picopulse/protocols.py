@@ -41,6 +41,8 @@ class Axis:
     def __post_init__(self):
         if self.count < 2:
             raise ValueError(f"axis {self.name!r} needs count >= 2, got {self.count}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"axis {self.name!r} needs a finite start and stop")
         if not self.start < self.stop:
             raise ValueError(f"axis {self.name!r} needs start < stop")
 
@@ -98,6 +100,8 @@ def single_pulse_schedule(amplitude: float, tau: float, delta: float,
 
 def pulse_pair_schedule(amplitude: float, tau1: float, tau2: float, tau_r: float,
                         delta: float, tail: float = 0.0) -> Schedule:
+    if not (tau_r >= 0 and math.isfinite(tau_r)):
+        raise ValueError(f"tau_r must be finite and >= 0, got {tau_r}")
     segs = [Segment(tau1, e1=amplitude)]
     if tau_r > 0:
         segs.append(Segment(tau_r))
@@ -125,6 +129,8 @@ def register_pair_schedule(delta1: float, delta2: float, j: float,
                            a1: float, a2: float, tau1: float, tau2: float,
                            tau_r: float, tail: float = 0.0) -> Schedule:
     """Pulse on qubit 1, delay, pulse on qubit 2, with the coupling always on."""
+    if not (tau_r >= 0 and math.isfinite(tau_r)):
+        raise ValueError(f"tau_r must be finite and >= 0, got {tau_r}")
     segs = [Segment(tau1, e1=a1, j=j)]
     if tau_r > 0:
         segs.append(Segment(tau_r, j=j))

@@ -406,3 +406,65 @@ def test_lindblad_scan_rejects_bad_delays(bad):
     with pytest.raises(ValueError, match="durations"):
         protocols.lindblad_ramsey_scan(40.0, 1.5, 0.02, [0.5, 0.0, bad],
                                        dynamics.LindbladParams(0.3, 0.6))
+
+
+# ---------------------------------------------------------------------------
+# sampled open-system evolution against per-sample expm of Kronecker superoperators
+
+def reference_lindblad_states(schedule, rho0, gamma, gamma_phi, times):
+    """Each time from the first segment ending at or after it; the end state past the end."""
+    bounds, durs = schedule.boundaries(), schedule.durations()
+    out = []
+    for t in times:
+        vec = np.asarray(rho0, dtype=complex).reshape(4)
+        for k, h in enumerate(schedule.hamiltonians()):
+            lop = kron_superoperator(h, gamma, gamma_phi)
+            if t <= bounds[k + 1] + dynamics.BOUNDARY_TOL:
+                vec = scipy.linalg.expm(lop * max(t - bounds[k], 0.0)) @ vec
+                break
+            vec = scipy.linalg.expm(lop * durs[k]) @ vec
+        out.append(vec.reshape(2, 2))
+    return np.array(out)
+
+
+@st.composite
+def qubit_schedules(draw):
+    n = draw(st.integers(1, 6))
+    return Schedule.from_arrays(draw(controls), [draw(durations) for _ in range(n)],
+                                [(draw(controls), 0.0, 0.0) for _ in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(qubit_schedules(), density_matrices(), rates, rates, st.floats(0.02, 0.7))
+def test_sampled_lindblad_matches_per_sample_expm(schedule, rho0, gamma, gamma_phi,
+                                                  sample_dt):
+    traj = dynamics.evolve_lindblad(schedule, rho0, dynamics.LindbladParams(gamma, gamma_phi),
+                                    sample_dt)
+    for b in schedule.boundaries():
+        assert np.any(traj.times == b)
+    ref = reference_lindblad_states(schedule, rho0, gamma, gamma_phi, traj.times)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12
+    assert_physical(traj.states)
+
+
+@settings(max_examples=40, deadline=None)
+@given(qubit_schedules(), initial_states(2), st.floats(0.02, 0.7))
+def test_sampled_lindblad_at_zero_rates_is_the_pure_state(schedule, psi0, sample_dt):
+    traj = dynamics.evolve_lindblad(schedule, np.outer(psi0, psi0.conj()),
+                                    dynamics.LindbladParams(), sample_dt)
+    pure = dynamics.evolve_state(schedule, psi0, sample_dt)
+    assert np.array_equal(traj.times, pure.times)
+    ref = np.einsum("ti,tj->tij", pure.states, pure.states.conj())
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12
+
+
+def test_sampled_lindblad_makes_one_stacked_expm(monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda a: calls.append(np.shape(a)) or expm(a))
+    schedule = Schedule.from_arrays(1.5, [0.3, 0.2, 0.4], [(20.0, 0, 0), (0, 0, 0),
+                                                           (20.0, 0, 0)])
+    dynamics.evolve_lindblad(schedule, np.diag([1.0, 0.0]), dynamics.LindbladParams(0.3, 0.6),
+                             0.05)
+    assert len(calls) == 1 and calls[0][1:] == (4, 4)

@@ -435,3 +435,59 @@ def test_negative_damping_exits_2(tmp_path, capsys, field, value):
     rc, _ = run(tmp_path, "shape", {"ljj": {"i_b": 0.2, field: value}}, name="negdamp.json")
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+REGISTER_PAIR_CFG = {"kind": "register-pair", "axis1": SWEEP_CFG["axis1"],
+                     "axis2": SWEEP_CFG["axis2"],
+                     "fixed": {"delta1": 0.25, "delta2": 0.3, "j": 0.01, "tau1": 20.0,
+                               "tau2": 20.0, "tau_r": 1000.0}}
+
+
+def assert_one_error_line(capsys, recwarn, field):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("tau_r", [-100.0, math.nan])
+@pytest.mark.parametrize("config", [PAIR_CFG, REGISTER_PAIR_CFG], ids=["pair", "register-pair"])
+def test_bad_free_delay_exits_2(tmp_path, capsys, recwarn, config, tau_r):
+    cfg = dict(config, fixed=dict(config["fixed"], tau_r=tau_r))
+    rc, out = run(tmp_path, "sweep", cfg, name="delay.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, "tau_r")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("field", ["gamma", "gamma_phi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.1])
+def test_bad_rates_exit_2(tmp_path, capsys, recwarn, field, value):
+    cfg = dict(RAMSEY_CFG, gamma=0.05, gamma_phi=0.1)
+    rc, out = run(tmp_path, "lindblad", dict(cfg, **{field: value}), name="rates.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, field)
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_bad_time_scale_exits_2(tmp_path, capsys, recwarn, value):
+    rc, out = run(tmp_path, "shape", {"time_scale": value}, name="scale.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, "time_scale")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("axis,end", [("axis1", "stop"), ("axis2", "stop"), ("axis1", "start")])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_axis_end_exits_2(tmp_path, capsys, recwarn, axis, end, value):
+    cfg = dict(SWEEP_CFG, **{axis: dict(SWEEP_CFG[axis], **{end: value})})
+    rc, _ = run(tmp_path, "sweep", cfg, name="axis.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, repr(SWEEP_CFG[axis]["name"]))
+
+
+def test_non_finite_delay_axis_exits_2(tmp_path, capsys, recwarn):
+    cfg = dict(RAMSEY_CFG, tau_r=dict(RAMSEY_CFG["tau_r"], stop=math.inf))
+    rc, _ = run(tmp_path, "ramsey", cfg, name="delays.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, "'tau_r'")

@@ -150,3 +150,10 @@ def test_negative_rates_rejected():
         LindbladParams(gamma=-0.1)
     with pytest.raises(ValueError):
         LindbladParams(gamma_phi=-1.0)
+
+
+@pytest.mark.parametrize("field", ["gamma", "gamma_phi"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_rates_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        LindbladParams(**{field: value})

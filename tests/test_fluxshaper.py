@@ -290,3 +290,9 @@ def test_inversion_demo_keeps_the_tail_at_its_seed():
     assert demo.params[2] == 0.5 * math.pi / delta
     assert demo.schedule.segments[-1].duration == demo.params[2]
     assert demo.fidelity >= 0.99
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
+def test_waveform_sample_period_must_be_finite_and_positive(dt):
+    with pytest.raises(ValueError, match="sample period"):
+        fs.Waveform(dt=dt, samples=np.zeros(3))

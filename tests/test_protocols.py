@@ -182,3 +182,23 @@ def test_calibrate_input_validation():
                                   [(0, 1)], [0.5])
     with pytest.raises(ValueError):
         protocols.calibrate_pulse(target, lambda p: None, [(0, 1)], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("tau_r", [-1.0, np.nan, np.inf])
+def test_pair_builders_reject_bad_delays(tau_r):
+    with pytest.raises(ValueError, match="tau_r"):
+        protocols.pulse_pair_schedule(30.0, 0.03, 0.03, tau_r, DELTA)
+    with pytest.raises(ValueError, match="tau_r"):
+        protocols.register_pair_schedule(DELTA, DELTA, 0.1, 30.0, 30.0, 0.03, 0.03, tau_r)
+
+
+def test_zero_delay_drops_the_free_segment():
+    assert len(protocols.pulse_pair_schedule(30.0, 0.03, 0.03, 0.0, DELTA).segments) == 2
+    assert len(protocols.register_pair_schedule(DELTA, DELTA, 0.1, 30.0, 30.0, 0.03, 0.03,
+                                                0.0).segments) == 2
+
+
+@pytest.mark.parametrize("start,stop", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)])
+def test_axis_ends_must_be_finite(start, stop):
+    with pytest.raises(ValueError, match="'x'"):
+        Axis("x", start, stop, 3)
