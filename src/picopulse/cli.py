@@ -11,10 +11,12 @@ Every config field a subcommand reads is listed once, with its unit, in the
 schemas below.  ``FREQ`` fields are frequencies and decay rates (GHz under the
 default ``cyclic-ghz`` convention, multiplied by 2*pi on reading; rad/ns and
 1/ns under ``angular``), ``TIME`` fields are times (ps or ns), and any other
-entry names the type of a unitless value.  A sweep's axis1 is a frequency and
-its axis2 a time in every kind; the axis ``name`` only labels the CSV.  A
-missing field or an unknown key, at any depth, is a config error.  Outputs are
-in rad/ns and ns.
+entry names the type of a unitless value.  :class:`Items` is a list of any
+length whose entries share one unit, and a ``complex`` entry is a number or an
+``[re, im]`` pair.  A bool is not a number in any numeric field.  A sweep's
+axis1 is a frequency and its axis2 a time in every kind; the axis ``name`` only
+labels the CSV.  A missing field or an unknown key, at any depth, is a config
+error.  Outputs, and the numbers in library errors, are in rad/ns and ns.
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ class Opt:
     default: object  # already in internal units
 
 
+@dataclass(frozen=True)
+class Items:
+    """A list field of any length whose entries all have ``unit``."""
+
+    unit: object
+
+
 _AXIS1 = {"name": str, "start": FREQ, "stop": FREQ, "count": int}
 _AXIS2 = {"name": str, "start": TIME, "stop": TIME, "count": int}
 
@@ -73,7 +82,7 @@ _RAMSEY = {"amplitude": FREQ, "delta": FREQ, "tau": TIME,
            "tau_r": {"start": TIME, "stop": TIME, "count": int}}
 _LINDBLAD = {**_RAMSEY, "gamma": FREQ, "gamma_phi": FREQ}
 
-_TARGET = {"kind": str, "name": Opt(str, None), "vector": Opt(list, None)}
+_TARGET = {"kind": str, "name": Opt(str, None), "vector": Opt(Items(complex), None)}
 # calibration template type -> fields besides ``target``
 _TEMPLATES = {
     "single-pulse": {"template": {"type": str, "delta": FREQ},
@@ -86,7 +95,7 @@ _TEMPLATES = {
 _SHAPE = {"ljj": Opt(fluxshaper.LJJConfig, fluxshaper.LJJConfig()),
           "amp": Opt(fluxshaper.InterferometerConfig, fluxshaper.InterferometerConfig()),
           "energy_scale": Opt(float, 1.0), "time_scale": Opt(float, 1.0),
-          "bias_sweep": Opt(list, None)}
+          "bias_sweep": Opt(Items(float), None)}
 
 _DEMO = {"target": str, "delta": Opt(FREQ, math.tau * 0.25), "j": Opt(FREQ, 0.0)}
 
@@ -115,22 +124,40 @@ def _read(raw, schema: dict, conv: UnitConvention, where: str = "config") -> dic
     return values
 
 
+def _not_bool(value, where: str) -> None:
+    if isinstance(value, bool):
+        raise ConfigError(f"invalid {where}: expected a number, got {value!r}")
+
+
 def _convert(value, unit, conv: UnitConvention, where: str):
     if isinstance(unit, dict):
         return _read(value, unit, conv, where)
+    if isinstance(unit, Items):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        unit = [unit.unit] * len(value)
     if isinstance(unit, list):
         if not isinstance(value, list) or len(value) != len(unit):
             raise ConfigError(f"{where} must be a list of {len(unit)} items")
         return [_convert(v, u, conv, f"{where}[{i}]")
                 for i, (v, u) in enumerate(zip(value, unit))]
+    if unit is complex:  # a number or an [re, im] pair
+        if isinstance(value, list):
+            return complex(*_convert(value, [float, float], conv, where))
+        return complex(_convert(value, float, conv, where))
     if is_dataclass(unit):
         _check_keys(value, [f.name for f in fields(unit)], where)
+        for f in fields(unit):  # a bool only where the field's default is one
+            if not isinstance(f.default, bool):
+                _not_bool(value.get(f.name), f"{where}.{f.name}")
+    elif unit in (FREQ, TIME, float, int):
+        _not_bool(value, where)
     try:
         if unit == FREQ:
             return conv.frequency_in(float(value))
         if unit == TIME:
             return conv.time_in(float(value))
-        if unit is int and (isinstance(value, bool) or int(value) != value):
+        if unit is int and int(value) != value:
             raise ValueError(f"expected an integer, got {value!r}")
         return unit(**value) if is_dataclass(unit) else unit(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -259,9 +286,11 @@ def _calibration_target(raw: dict):
         return ("state", named[raw["name"]])
     if raw["vector"] is None:
         raise ConfigError("missing field 'vector' in target")
-    vector = np.array([complex(v[0], v[1]) if isinstance(v, list) else complex(v)
-                       for v in raw["vector"]])
-    return ("state", vector / np.linalg.norm(vector))
+    vector = np.array(raw["vector"], dtype=complex)
+    norm = np.linalg.norm(vector)
+    if not 0 < norm < math.inf:
+        raise ConfigError(f"target.vector must have a finite, non-zero norm, got {norm}")
+    return ("state", vector / norm)
 
 
 def cmd_calibrate(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
@@ -304,7 +333,7 @@ def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
     })]
 
     if cfg["bias_sweep"] is not None:
-        rows = fluxshaper.duration_vs_bias(ljj, [float(b) for b in cfg["bias_sweep"]])
+        rows = fluxshaper.duration_vs_bias(ljj, cfg["bias_sweep"])
         dpath = out / "duration_vs_bias.csv"
         _write_csv(dpath, ["plateau duration of the loop-flux pulse"],
                    ["i_b", "duration"], rows)
@@ -392,9 +421,11 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         outputs = _COMMANDS[args.command](config, out, conv)
-    except ValueError as exc:
-        # a ConfigError, or invalid physical parameters reaching a library constructor
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # invalid physical parameters, checked after unit conversion
+        print(f"error: {exc} (numbers in internal units: rad/ns and ns)", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

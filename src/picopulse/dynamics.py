@@ -14,11 +14,11 @@ order.  :func:`evolve_unitary` is its batch-of-one case for a schedule, and
 segments, as in a calibration.  One sampler serves closed and open systems:
 :func:`sample_states` (behind :func:`evolve_state` and
 ``protocols.populations_at``) and :func:`evolve_lindblad` evolve each sample
-time from the state at the start of its segment.  A classic 4th-order
-explicit stepper is kept as an independent cross-check (deliberately without
-renormalization), and a cosine-driven lab-frame integrator covers the one
-genuinely time-dependent case.  Open-system evolution integrates the master
-equation
+time from the state at the start of its segment.  One classic RK4 step,
+:func:`rk4_step`, drives an explicit stepper kept as an independent
+cross-check (deliberately without renormalization) and a cosine-driven
+lab-frame integrator for the one genuinely time-dependent case.  Open-system
+evolution integrates the master equation
 
     drho/dt = i[rho, H(t)] + gamma (s- rho s+ - 1/2 {s+ s-, rho})
               + gamma_phi (sz rho sz - rho)
@@ -298,13 +298,14 @@ def evolve_state(schedule: Schedule, psi0, sample_dt: float) -> Trajectory:
     return Trajectory(times=times, states=sample_states(schedule, psi, times))
 
 
-def _rk4_step(h: np.ndarray, psi: np.ndarray, dt: float) -> np.ndarray:
-    rhs = lambda p: -1j * (h @ p)
-    k1 = rhs(psi)
-    k2 = rhs(psi + 0.5 * dt * k1)
-    k3 = rhs(psi + 0.5 * dt * k2)
-    k4 = rhs(psi + dt * k3)
-    return psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(f, y, h: float):
+    """One classic RK4 step of ``dy/dt = f(frac, y)`` over a step ``h``, where ``frac``
+    (0, 0.5 or 1) is the fraction of the step at which ``f`` is evaluated."""
+    k1 = f(0.0, y)
+    k2 = f(0.5, y + 0.5 * h * k1)
+    k3 = f(0.5, y + 0.5 * h * k2)
+    k4 = f(1.0, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def evolve_state_stepper(schedule: Schedule, psi0, dt: float) -> Trajectory:
@@ -325,7 +326,7 @@ def evolve_state_stepper(schedule: Schedule, psi0, dt: float) -> Trajectory:
         nsteps = max(1, int(math.ceil(duration / dt)))
         hstep = duration / nsteps
         for _ in range(nsteps):
-            psi = _rk4_step(h, psi, hstep)
+            psi = rk4_step(lambda _, p: -1j * (h @ p), psi, hstep)
             t += hstep
             times.append(t)
             states.append(psi.copy())
@@ -358,12 +359,7 @@ def evolve_driven_cosine(amplitude: float, omega: float, delta: float, tau: floa
 
     for n in range(nsteps):
         t = times[n]
-        k1 = -1j * (ht(t) @ psi)
-        hmid = ht(t + 0.5 * h)
-        k2 = -1j * (hmid @ (psi + 0.5 * h * k1))
-        k3 = -1j * (hmid @ (psi + 0.5 * h * k2))
-        k4 = -1j * (ht(t + h) @ (psi + h * k3))
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psi = rk4_step(lambda s, p: -1j * (ht(t + s * h) @ p), psi, h)
         states[n + 1] = psi
     return Trajectory(times=times, states=states)
 

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import dynamics
 from .dynamics import Schedule, evolve_state
 
 
@@ -118,7 +119,6 @@ class InterferometerConfig:
     ic1: float = 0.7
     alpha_j: float = 3.0
     inductance: float = 0.2
-    coupling: float = 1.0
 
     def __post_init__(self):
         _require_finite(self)
@@ -337,14 +337,15 @@ def plateau_duration(wave: Waveform, level: float = 0.5) -> float:
 
 def simulate_amplitude_stage(wave: Waveform, cfg: InterferometerConfig) -> Waveform:
     """Drive the twin interferometers with the loop flux; return the output current."""
-    phi_ext = 0.25 * wave.samples
+    phi_ext = (0.25 * wave.samples).tolist()  # Python floats: cheaper than numpy scalars per substep
     nsub = max(1, int(math.ceil(wave.dt / (0.02 * cfg.alpha_j))))
     h = wave.dt / nsub
     ic = np.array([1.0, cfg.ic1])
     phase = np.zeros(2)
     out = np.empty(len(wave.samples))
 
-    def rhs(p, ext):
+    def rhs(frac, p):  # the drive is linear from ext0 to ext1 over the substeps s of sample i
+        ext = ext0 + (ext1 - ext0) * ((s + frac) / nsub)
         return (-ic * np.sin(p) - (p - ext) / cfg.inductance) / cfg.alpha_j
 
     for i in range(len(wave.samples)):
@@ -352,14 +353,7 @@ def simulate_amplitude_stage(wave: Waveform, cfg: InterferometerConfig) -> Wavef
         ext0 = phi_ext[i]
         ext1 = phi_ext[min(i + 1, len(phi_ext) - 1)]
         for s in range(nsub):
-            ea = ext0 + (ext1 - ext0) * (s / nsub)
-            em = ext0 + (ext1 - ext0) * ((s + 0.5) / nsub)
-            eb = ext0 + (ext1 - ext0) * ((s + 1) / nsub)
-            k1 = rhs(phase, ea)
-            k2 = rhs(phase + 0.5 * h * k1, em)
-            k3 = rhs(phase + 0.5 * h * k2, em)
-            k4 = rhs(phase + h * k3, eb)
-            phase = phase + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            phase = dynamics.rk4_step(rhs, phase, h)
         if not np.all(np.isfinite(phase)):
             raise RuntimeError(f"amplitude stage diverged at sample {i}")
     return Waveform(dt=wave.dt, samples=out,
@@ -379,16 +373,17 @@ def shape_control_pulse(ljj: LJJConfig, amp: InterferometerConfig,
 
     ``energy_scale`` converts the normalized output current into an angular
     drive amplitude (rad/ns); ``time_scale`` converts one normalized time unit
-    into ns (set by the junction plasma frequency).  The fluxon's ``velocity``
+    into ns (set by the junction plasma frequency); both must be finite and
+    > 0, and are checked before the LJJ solve.  The fluxon's ``velocity``
     and ``charge_drift`` from the LJJ solve are handed out in ``meta``.
     """
-    if not (time_scale > 0 and math.isfinite(time_scale)):
-        raise ValueError(f"time_scale must be finite and > 0, got {time_scale}")
+    for name, scale in (("energy_scale", energy_scale), ("time_scale", time_scale)):
+        if not (scale > 0 and math.isfinite(scale)):
+            raise ValueError(f"{name} must be finite and > 0, got {scale}")
     result = simulate_ljj_fluxon(ljj)
     loop = loop_flux_waveform(result, ljj)
     current = simulate_amplitude_stage(loop, amp)
-    samples = energy_scale * amp.coupling * current.samples
-    return Waveform(dt=current.dt * time_scale, samples=samples,
+    return Waveform(dt=current.dt * time_scale, samples=energy_scale * current.samples,
                     meta={"stage": "control", "config": _config_hash(ljj, amp),
                           "energy_scale": energy_scale, "time_scale": time_scale,
                           "velocity": result.velocity, "charge_drift": result.charge_drift})

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from picopulse import fluxshaper, protocols
 from picopulse.cli import main
 from picopulse.fluxshaper import power_balance_velocity
 
@@ -337,6 +338,7 @@ def test_axis_unit_comes_from_position_not_name(tmp_path):
     ("sweep", dict(SWEEP_CFG, fixed={"delta": 0.25, "tau": 100.0, "tau_R": 5.0}), "tau_R"),
     ("calibrate", dict(CAL_CFG, template={"type": "single-pulse", "delta": 1.5, "detla": 1.5}),
      "detla"),
+    ("shape", {"amp": {"ic1": 0.7, "coupling": 1.0}}, "coupling"),
 ])
 def test_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, config, key):
     rc, _ = run(tmp_path, command, config, name="unknown.json")
@@ -491,3 +493,84 @@ def test_non_finite_delay_axis_exits_2(tmp_path, capsys, recwarn):
     rc, _ = run(tmp_path, "ramsey", cfg, name="delays.json")
     assert rc == 2
     assert_one_error_line(capsys, recwarn, "'tau_r'")
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+def test_bad_energy_scale_exits_2_before_the_solve(tmp_path, capsys, recwarn, monkeypatch,
+                                                    value):
+    monkeypatch.setattr(fluxshaper, "simulate_ljj_fluxon", no_solve)
+    rc, out = run(tmp_path, "shape", {"energy_scale": value}, name="energy.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, "energy_scale")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("vector,field", [
+    ([[1.0], 0], "target.vector[0]"),
+    ([{"re": 1}, 0], "target.vector[0]"),
+    ([[1, 0, 5], 0], "target.vector[0]"),
+    ([True, 0], "target.vector[0]"),
+    ([0, [1, False]], "target.vector[1][1]"),
+    ("10", "target.vector"),
+    ([0, 0], "target.vector"),
+    ([], "target.vector"),
+])
+def test_bad_target_vector_exits_2_before_calibrating(tmp_path, capsys, recwarn, monkeypatch,
+                                                      vector, field):
+    monkeypatch.setattr(protocols, "calibrate_pulse", no_solve)
+    cfg = dict(CAL_CFG, target={"kind": "state", "vector": vector})
+    rc, _ = run(tmp_path, "calibrate", cfg, name="vector.json",
+                extra=("--convention", "angular"))
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, field)
+
+
+def test_target_vector_takes_numbers_and_pairs(tmp_path):
+    cfg = dict(CAL_CFG, target={"kind": "state", "vector": [0, [3, 4]]})
+    rc, out = run(tmp_path, "calibrate", cfg, name="pairs.json",
+                  extra=("--convention", "angular"))
+    assert rc == 0
+    assert json.loads((out / "calibration.json").read_text())["converged"] is True
+
+
+@pytest.mark.parametrize("biases", [[[0.2]], [None], [True], 0.2])
+def test_bad_bias_sweep_exits_2_before_any_solve(tmp_path, capsys, recwarn, monkeypatch,
+                                                 biases):
+    monkeypatch.setattr(fluxshaper, "simulate_ljj_fluxon", no_solve)
+    rc, _ = run(tmp_path, "shape", dict(SHAPE_CFG, bias_sweep=biases), name="biases.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, "bias_sweep")
+
+
+@pytest.mark.parametrize("command,config,field", [
+    ("ramsey", dict(RAMSEY_CFG, amplitude=True), "amplitude"),
+    ("ramsey", dict(RAMSEY_CFG, tau_r=dict(RAMSEY_CFG["tau_r"], stop=False)), "tau_r.stop"),
+    ("shape", {"ljj": {"alpha": True}}, "ljj.alpha"),
+    ("shape", {"amp": {"ic1": False}}, "amp.ic1"),
+    ("shape", {"time_scale": True}, "time_scale"),
+])
+def test_a_bool_is_not_a_number(tmp_path, capsys, recwarn, config, command, field):
+    rc, _ = run(tmp_path, command, config, name="bool.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, field)
+
+
+def test_bool_fields_still_take_bools(tmp_path):
+    rc, _ = run(tmp_path, "shape", {"ljj": {"i_b": 0.2, "require_exit": True}},
+                name="exit.json")
+    assert rc == 0
+
+
+def test_library_errors_say_their_numbers_are_in_internal_units(tmp_path, capsys, recwarn):
+    cfg = dict(PAIR_CFG, fixed=dict(PAIR_CFG["fixed"], tau_r=-100.0))
+    rc, _ = run(tmp_path, "sweep", cfg, name="units.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, "got -0.1 (numbers in internal units: rad/ns and ns)")
+    # a config error quotes the config itself and carries no note
+    rc, _ = run(tmp_path, "sweep", dict(SWEEP_CFG, amplitdue=1.0), name="note.json")
+    assert rc == 2
+    assert "internal units" not in capsys.readouterr().err

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from picopulse import analytic, dynamics
 from picopulse.analytic import RectPulse
-from picopulse.core import KET_DOWN, make_single_qubit_hamiltonian
+from picopulse.core import KET_DOWN, SZ, check_state, make_single_qubit_hamiltonian
 from picopulse.dynamics import LindbladParams, Schedule, Segment
 
 DELTA = 2 * np.pi * 0.25
@@ -157,3 +159,97 @@ def test_negative_rates_rejected():
 def test_non_finite_rates_rejected_by_name(field, value):
     with pytest.raises(ValueError, match=field):
         LindbladParams(**{field: value})
+
+
+def test_rk4_step_is_exact_for_a_cubic_rate():
+    # dy/dt = p(t) with p cubic: one RK4 step is Simpson's rule, exact for cubics
+    p = np.polynomial.Polynomial([1.0, 2.0, -3.0, 4.0])
+    t0, h = 0.3, 0.7
+    y = dynamics.rk4_step(lambda frac, _: p(t0 + frac * h), 0.25, h)
+    integral = p.integ()
+    assert abs(y - (0.25 + integral(t0 + h) - integral(t0))) < 1e-14
+
+
+def test_rk4_step_is_fourth_order():
+    lam = -1.0 + 2.0j
+
+    def error(n):
+        y = 1.0 + 0.0j
+        for _ in range(n):
+            y = dynamics.rk4_step(lambda _, v: lam * v, y, 1.0 / n)
+        return abs(y - np.exp(lam))
+
+    ratios = [error(n) / error(2 * n) for n in (8, 16, 32)]
+    assert all(14 < r < 18 for r in ratios)  # 2^4 per halving
+
+
+def _reference_stepper(schedule, psi0, dt):
+    """Reference: the stepper's loop with the RK4 tableau written out in full."""
+    psi = check_state(psi0).copy()
+    states = [psi.copy()]
+    for duration, h in zip(schedule.durations().tolist(), schedule.hamiltonians()):
+        nsteps = max(1, int(math.ceil(duration / dt)))
+        hstep = duration / nsteps
+        for _ in range(nsteps):
+            k1 = -1j * (h @ psi)
+            k2 = -1j * (h @ (psi + 0.5 * hstep * k1))
+            k3 = -1j * (h @ (psi + 0.5 * hstep * k2))
+            k4 = -1j * (h @ (psi + hstep * k3))
+            psi = psi + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states.append(psi.copy())
+    return np.array(states)
+
+
+def _reference_cosine(amplitude, omega, delta, tau, psi0, dt):
+    """Reference: the cosine drive's loop with the RK4 tableau written out in full."""
+    psi = check_state(psi0).copy()
+    nsteps = max(1, int(math.ceil(tau / dt)))
+    h = tau / nsteps
+    hz = -0.5 * delta * SZ
+    times = np.linspace(0.0, tau, nsteps + 1)
+    states = [psi]
+
+    def ht(t):
+        return hz - 0.5 * amplitude * math.cos(omega * t) * np.array(
+            [[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+    for n in range(nsteps):
+        t = times[n]
+        k1 = -1j * (ht(t) @ psi)
+        hmid = ht(t + 0.5 * h)
+        k2 = -1j * (hmid @ (psi + 0.5 * h * k1))
+        k3 = -1j * (hmid @ (psi + 0.5 * h * k2))
+        k4 = -1j * (ht(t + h) @ (psi + h * k3))
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(psi)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("e1,tau_r", [(8.0, 0.1), (20.0, 0.05), (3.0, 0.4)])
+def test_stepper_and_cosine_match_the_written_out_tableau_bit_for_bit(e1, tau_r):
+    sched = make_schedule(Segment(0.1, e1=e1), Segment(tau_r), Segment(0.1, e1=e1))
+    dt = 0.01 / np.hypot(DELTA, e1)
+    stepper = dynamics.evolve_state_stepper(sched, KET_DOWN, dt).states
+    assert stepper.tobytes() == _reference_stepper(sched, KET_DOWN, dt).tobytes()
+
+    args = (0.1 * e1, DELTA, DELTA, 20 * tau_r, KET_DOWN, 2 * np.pi / DELTA / 50)
+    cosine = dynamics.evolve_driven_cosine(*args).states
+    assert cosine.tobytes() == _reference_cosine(*args).tobytes()
+
+
+def test_stepper_and_cosine_take_their_steps_with_rk4_step(monkeypatch):
+    calls = []
+
+    def counted(f, y, h):
+        calls.append(h)
+        return step(f, y, h)
+
+    step = dynamics.rk4_step
+    monkeypatch.setattr(dynamics, "rk4_step", counted)
+    sched = make_schedule(Segment(0.2, e1=8.0))
+    traj = dynamics.evolve_state_stepper(sched, KET_DOWN, 0.01 / np.hypot(DELTA, 8.0))
+    assert len(calls) == len(traj.times) - 1
+    calls.clear()
+    traj = dynamics.evolve_driven_cosine(0.1, DELTA, DELTA, 1.0, KET_DOWN,
+                                         2 * np.pi / DELTA / 50)
+    assert len(calls) == len(traj.times) - 1

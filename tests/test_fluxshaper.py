@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from picopulse import dynamics
 from picopulse import fluxshaper as fs
 
 # shared slow fixtures: one default fluxon run reused across tests
@@ -41,7 +42,7 @@ def test_config_validation():
     lambda: fs.LJJConfig(t_max=math.inf),
     lambda: fs.LJJConfig(dt=math.nan),
     lambda: fs.InterferometerConfig(ic1=math.nan),
-    lambda: fs.InterferometerConfig(coupling=-math.inf),
+    lambda: fs.InterferometerConfig(inductance=-math.inf),
 ])
 def test_config_rejects_non_finite_fields(config):
     with pytest.raises(ValueError, match="must be finite"):
@@ -296,3 +297,64 @@ def test_inversion_demo_keeps_the_tail_at_its_seed():
 def test_waveform_sample_period_must_be_finite_and_positive(dt):
     with pytest.raises(ValueError, match="sample period"):
         fs.Waveform(dt=dt, samples=np.zeros(3))
+
+
+def _reference_amplitude_stage(wave, cfg):
+    """Reference: the amplitude stage's loop with the RK4 tableau and the per-substep
+    drive written out in full."""
+    phi_ext = 0.25 * wave.samples
+    nsub = max(1, int(math.ceil(wave.dt / (0.02 * cfg.alpha_j))))
+    h = wave.dt / nsub
+    ic = np.array([1.0, cfg.ic1])
+    phase = np.zeros(2)
+    out = np.empty(len(wave.samples))
+
+    def rhs(p, ext):
+        return (-ic * np.sin(p) - (p - ext) / cfg.inductance) / cfg.alpha_j
+
+    for i in range(len(wave.samples)):
+        out[i] = (phase[1] - phase[0]) / cfg.inductance
+        ext0 = phi_ext[i]
+        ext1 = phi_ext[min(i + 1, len(phi_ext) - 1)]
+        for s in range(nsub):
+            ea = ext0 + (ext1 - ext0) * (s / nsub)
+            em = ext0 + (ext1 - ext0) * ((s + 0.5) / nsub)
+            eb = ext0 + (ext1 - ext0) * ((s + 1) / nsub)
+            k1 = rhs(phase, ea)
+            k2 = rhs(phase + 0.5 * h * k1, em)
+            k3 = rhs(phase + 0.5 * h * k2, em)
+            k4 = rhs(phase + h * k3, eb)
+            phase = phase + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+@pytest.mark.parametrize("ic1", [0.6, 0.7, 1.0, 1.3])
+def test_amplitude_stage_matches_the_written_out_tableau_bit_for_bit(default_loop, ic1):
+    cfg = fs.InterferometerConfig(ic1=ic1)
+    out = fs.simulate_amplitude_stage(default_loop, cfg).samples
+    assert out.tobytes() == _reference_amplitude_stage(default_loop, cfg).tobytes()
+
+
+def test_amplitude_stage_takes_its_steps_with_rk4_step(monkeypatch):
+    calls = []
+
+    def counted(f, y, h):
+        calls.append(h)
+        return step(f, y, h)
+
+    step = dynamics.rk4_step
+    monkeypatch.setattr(dynamics, "rk4_step", counted)
+    wave = fs.Waveform(dt=0.3, samples=np.linspace(0.0, 1.0, 5))
+    cfg = fs.InterferometerConfig()
+    fs.simulate_amplitude_stage(wave, cfg)
+    assert len(calls) == 5 * math.ceil(0.3 / (0.02 * cfg.alpha_j))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+def test_energy_scale_must_be_finite_and_positive_before_the_solve(monkeypatch, value):
+    def no_solve(cfg):
+        raise AssertionError("the LJJ solve ran")
+
+    monkeypatch.setattr(fs, "simulate_ljj_fluxon", no_solve)
+    with pytest.raises(ValueError, match="energy_scale must be finite and > 0"):
+        fs.shape_control_pulse(fs.LJJConfig(), fs.InterferometerConfig(), energy_scale=value)
