@@ -13,7 +13,8 @@ default ``cyclic-ghz`` convention, multiplied by 2*pi on reading; rad/ns and
 1/ns under ``angular``), ``TIME`` fields are times (ps or ns), and any other
 entry names the type of a unitless value.  :class:`Items` is a list of any
 length whose entries share one unit, and a ``complex`` entry is a number or an
-``[re, im]`` pair.  A bool is not a number in any numeric field.  A sweep's
+``[re, im]`` pair.  Neither a bool nor a string is a number in any numeric
+field.  A sweep's
 axis1 is a frequency and its axis2 a time in every kind; the axis ``name`` only
 labels the CSV.  A missing field or an unknown key, at any depth, is a config
 error.  Outputs, and the numbers in library errors, are in rad/ns and ns.
@@ -28,7 +29,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -124,8 +125,9 @@ def _read(raw, schema: dict, conv: UnitConvention, where: str = "config") -> dic
     return values
 
 
-def _not_bool(value, where: str) -> None:
-    if isinstance(value, bool):
+def _number(value, where: str) -> None:
+    """Reject a bool or a string, which ``float`` would otherwise read as a number."""
+    if isinstance(value, (bool, str)):
         raise ConfigError(f"invalid {where}: expected a number, got {value!r}")
 
 
@@ -149,9 +151,9 @@ def _convert(value, unit, conv: UnitConvention, where: str):
         _check_keys(value, [f.name for f in fields(unit)], where)
         for f in fields(unit):  # a bool only where the field's default is one
             if not isinstance(f.default, bool):
-                _not_bool(value.get(f.name), f"{where}.{f.name}")
+                _number(value.get(f.name), f"{where}.{f.name}")
     elif unit in (FREQ, TIME, float, int):
-        _not_bool(value, where)
+        _number(value, where)
     try:
         if unit == FREQ:
             return conv.frequency_in(float(value))
@@ -273,7 +275,8 @@ def cmd_lindblad(config: dict, out: Path, conv: UnitConvention) -> tuple[list[Pa
     return [path], {"health": health}
 
 
-def _calibration_target(raw: dict):
+def _calibration_target(raw: dict, dimension: int):
+    """The normalized target state, checked against the template's ``dimension``."""
     if raw["kind"] != "state":
         raise ConfigError(f"unsupported target kind {raw['kind']!r}; only 'state' "
                           "targets are accepted from configs")
@@ -283,26 +286,31 @@ def _calibration_target(raw: dict):
                  "entangled": fluxshaper.target_state("entangled")}
         if raw["name"] not in named:
             raise ConfigError(f"unknown target name {raw['name']!r}")
-        return ("state", named[raw["name"]])
-    if raw["vector"] is None:
+        state, where = named[raw["name"]], "target.name"
+    elif raw["vector"] is None:
         raise ConfigError("missing field 'vector' in target")
-    vector = np.array(raw["vector"], dtype=complex)
-    norm = np.linalg.norm(vector)
-    if not 0 < norm < math.inf:
-        raise ConfigError(f"target.vector must have a finite, non-zero norm, got {norm}")
-    return ("state", vector / norm)
+    else:
+        state, where = np.array(raw["vector"], dtype=complex), "target.vector"
+        norm = np.linalg.norm(state)
+        if not 0 < norm < math.inf:
+            raise ConfigError(f"target.vector must have a finite, non-zero norm, got {norm}")
+        state = state / norm
+    if len(state) != dimension:
+        raise ConfigError(f"{where} has {len(state)} entries, but the template's states "
+                          f"have {dimension}")
+    return ("state", state)
 
 
 def cmd_calibrate(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
     ttype = _select(config.get("template"), "type", _TEMPLATES, "template type")
     cfg = _read(config, {"target": _TARGET, **_TEMPLATES[ttype]}, conv)
-    target = _calibration_target(cfg["target"])
+    name = cfg["target"]["name"]
+    if ttype == "shaped-demo" and name is None:
+        raise ConfigError("missing field 'name' in target")
+    target = _calibration_target(cfg["target"], 2 if ttype == "single-pulse" else 4)
     delta = cfg["template"]["delta"]
 
     if ttype == "shaped-demo":
-        name = cfg["target"]["name"]
-        if name is None:
-            raise ConfigError("missing field 'name' in target")
         result = fluxshaper.end_to_end_demo(name, delta=delta, j=cfg["template"]["j"])
         payload = _calibration_json(result, target=name)
     else:
@@ -318,6 +326,11 @@ def cmd_calibrate(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
 def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
     cfg = _read(config, _SHAPE, conv)
     ljj = cfg["ljj"]
+    for i, bias in enumerate(cfg["bias_sweep"] or ()):  # each bias is a valid LJJ run
+        try:
+            replace(ljj, i_b=bias)
+        except ValueError as exc:
+            raise ConfigError(f"invalid bias_sweep[{i}]: {exc}") from exc
     wave = fluxshaper.shape_control_pulse(ljj, cfg["amp"], cfg["energy_scale"],
                                           cfg["time_scale"])
     path = out / "waveform.csv"

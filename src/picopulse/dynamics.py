@@ -12,9 +12,12 @@ exact segment propagators, which :func:`evolve_unitaries` multiplies in
 order.  :func:`evolve_unitary` is its batch-of-one case for a schedule, and
 :class:`PropagatorReuse` its form for a sequence of schedules that share
 segments, as in a calibration.  One sampler serves closed and open systems:
-:func:`sample_states` (behind :func:`evolve_state` and
-``protocols.populations_at``) and :func:`evolve_lindblad` evolve each sample
-time from the state at the start of its segment.  One classic RK4 step,
+:func:`sample_states` and :func:`evolve_lindblad` evolve each sample time
+from the state at the start of its segment.  :func:`sample_states` takes
+Hamiltonians ``(..., n_seg, d, d)`` that share durations ``(n_seg,)``, as a
+sweep's rows do, and evolves a sample in its segment's eigenbasis, so it
+builds no per-sample propagator; :func:`evolve_state` and
+``protocols.populations_at`` are its batch-of-one case.  One classic RK4 step,
 :func:`rk4_step`, drives an explicit stepper kept as an independent
 cross-check (deliberately without renormalization) and a cosine-driven
 lab-frame integrator for the one genuinely time-dependent case.  Open-system
@@ -195,35 +198,44 @@ def _expm_distinct(gens) -> np.ndarray:
 
 
 def _boundary_states(steps, v0) -> np.ndarray:
-    """States ``(..., n_seg + 1, d)`` at every segment boundary, from ``v0`` and the
+    """States ``(..., n_seg + 1, d)`` at every segment boundary, from ``v0 (..., d)`` and the
     segment propagators ``(..., n_seg, d, d)`` applied in order."""
-    steps = np.swapaxes(steps, 0, -3)  # segments first; the swap back restores the batch axes
+    steps = np.moveaxis(steps, -3, 0)  # segments first
     states = np.empty((len(steps) + 1,) + steps.shape[1:-1] + (1,), dtype=complex)
-    states[0] = np.reshape(v0, (-1, 1))
+    states[0] = v0[..., None]
     for step, before, after in zip(steps, states[:-1], states[1:]):
         np.matmul(step, before, out=after)
-    return np.swapaxes(states[..., 0], 0, -2)
+    return np.moveaxis(states[..., 0], 0, -2)
 
 
-def _sample(durations, v0, times, propagators) -> np.ndarray:
-    """States ``(len(times), d)`` from ``v0`` at sample times (any order).
+def _sample(durations, v0, times, propagate) -> np.ndarray:
+    """States ``(..., len(times), d)`` from ``v0 (..., d)`` at sample times (any order).
 
     A time is evolved from the state at the start of the first segment that
     ends at or after it (within ``BOUNDARY_TOL``): a time on a boundary is the
     end of the earlier segment, times before 0 give ``v0`` and times past the
-    end the final state.  ``propagators(k, dt)``, for segments ``k`` over times
-    ``dt``, is called once, for every whole segment and every sample together."""
+    end the final state.  ``propagate(ks, dts)`` is called once, for segments
+    ``ks`` over times ``dts``: every whole segment in order, then the ``m``
+    samples inside the schedule, sorted by segment.  It returns the whole
+    segments' propagators ``(..., n_seg, d, d)`` and ``reach(starts, out)``,
+    which writes those samples' states into ``out (..., m, d)`` from the states
+    at the segment starts ``(..., n_seg + 1, d)``.  The samples are kept in
+    that order, and put back in the order of ``times`` only if it differs."""
     times = np.asarray(times, dtype=float)
     n = len(durations)
     bounds = np.concatenate([[0.0], np.cumsum(durations)])
     seg = np.searchsorted(bounds[1:] + BOUNDARY_TOL, times)
-    inside = seg < n
-    k = seg[inside]
-    dt = np.maximum(times[inside] - bounds[k], 0.0)
-    steps = propagators(np.concatenate([np.arange(n), k]), np.concatenate([durations, dt]))
-    starts = _boundary_states(steps[:n], v0)
-    states = starts[seg]  # seg == n past the end: the final state
-    states[inside] = (steps[n:] @ starts[k][:, :, None])[:, :, 0]
+    order = np.argsort(seg, kind="stable")  # segment by segment, past the end last
+    m = int(np.count_nonzero(seg < n))
+    k = seg[order[:m]]
+    dt = np.maximum(times[order[:m]] - bounds[k], 0.0)
+    steps, reach = propagate(np.concatenate([np.arange(n), k]), np.concatenate([durations, dt]))
+    starts = _boundary_states(steps, v0)
+    states = np.empty(starts.shape[:-2] + (len(times), starts.shape[-1]), dtype=complex)
+    reach(starts, states[..., :m, :])
+    states[..., m:, :] = starts[..., -1:, :]  # past the end: the final state
+    if np.any(np.diff(order) < 0):
+        states = states[..., np.argsort(order), :]
     return states
 
 
@@ -272,12 +284,40 @@ class PropagatorReuse:
         return _ordered_product(steps)
 
 
-def sample_states(schedule: Schedule, psi0, times) -> np.ndarray:
-    """States ``(len(times), d)`` at sample times in any order: a boundary time ends the
-    earlier segment, times before 0 give ``psi0`` and times past the end the final state."""
-    vals, vecs = np.linalg.eigh(schedule.hamiltonians())
-    return _sample(schedule.durations(), psi0, times,
-                   lambda k, dt: spectral_propagators(vals[k], vecs[k], dt))
+def sample_states(hams, durations, psi0, times) -> np.ndarray:
+    """States ``(..., len(times), d)`` from ``psi0`` at sample times in any order, for
+    Hamiltonians ``(..., n_seg, d, d)`` that share durations ``(n_seg,)`` >= 0.
+
+    A boundary time ends the earlier segment, times before 0 give ``psi0`` and
+    times past the end the final state.  One stacked ``eigh``; a sample in
+    segment ``k`` is ``V (exp(-i lambda dt) * V^dag psi_k)`` from the state
+    ``psi_k`` at the segment's start, so no per-sample propagator is built."""
+    hams, durations = np.asarray(hams), _checked_durations(durations)
+    if durations.shape != hams.shape[-3:-2]:
+        raise ValueError(f"durations {durations.shape} do not match Hamiltonians {hams.shape}")
+    vals, vecs = np.linalg.eigh(hams)
+    vecs_t = np.ascontiguousarray(np.moveaxis(vecs, -3, 0).swapaxes(-1, -2))  # V^T by segment
+
+    def propagate(ks, dts):
+        n = len(durations)
+        k, dt = ks[n:], dts[n:]
+
+        def reach(starts, out):
+            # in place, as rows: out = exp(-i lambda dt), then (out * psi_k^T conj(V)) V^T
+            coeffs = starts[..., :-1, None, :] @ vecs.conj()
+            out.real = 0.0
+            np.multiply(vals[..., k, :], -dt[:, None], out=out.imag)
+            np.exp(out, out=out)
+            firsts = np.flatnonzero(np.diff(k, prepend=-1)).tolist()
+            for a, b, seg in zip(firsts, firsts[1:] + [len(k)], k[firsts].tolist()):
+                block = out[..., a:b, :]
+                block *= coeffs[..., seg, :, :]
+                np.matmul(block, vecs_t[seg], out=block)
+
+        return spectral_propagators(vals, vecs, dts[:n]), reach
+
+    v0 = np.broadcast_to(np.asarray(psi0, dtype=complex), hams.shape[:-3] + hams.shape[-1:])
+    return _sample(durations, v0, times, propagate)
 
 
 def _sample_grid(schedule: Schedule, sample_dt: float) -> np.ndarray:
@@ -295,7 +335,8 @@ def evolve_state(schedule: Schedule, psi0, sample_dt: float) -> Trajectory:
     if psi.shape[0] != schedule.dimension:
         raise ValueError("initial state dimension does not match the schedule")
     times = _sample_grid(schedule, sample_dt)
-    return Trajectory(times=times, states=sample_states(schedule, psi, times))
+    states = sample_states(schedule.hamiltonians(), schedule.durations(), psi, times)
+    return Trajectory(times=times, states=states)
 
 
 def rk4_step(f, y, h: float):
@@ -396,8 +437,13 @@ def evolve_lindblad(schedule: Schedule, rho0, lp: LindbladParams,
     vec0 = check_density_matrix(rho0).reshape(4)
     times = _sample_grid(schedule, sample_dt)
     lops = lindblad_superoperator(schedule.hamiltonians(), lp)
-    vecs = _sample(schedule.durations(), vec0, times,
-                   lambda k, dt: _expm_distinct(lops[k] * dt[:, None, None]))
+
+    def propagate(ks, dts):
+        steps, n = _expm_distinct(lops[ks] * dts[:, None, None]), len(lops)
+        return steps[:n], lambda starts, out: np.matmul(steps[n:], starts[ks[n:], :, None],
+                                                        out=out[..., None])
+
+    vecs = _sample(schedule.durations(), vec0, times, propagate)
     return Trajectory(times=times, states=vecs.reshape(-1, 2, 2), kind="density")
 
 

@@ -2,12 +2,13 @@
 and derivative-free pulse calibration.
 
 Sweep axes are dimensionless by default (pulse areas and amplitudes in rad/ns
-against times in ns); the CLI layer applies unit conversions.  A sweep makes
-one :mod:`picopulse.dynamics` core call per axis1 value, not per cell: it
-samples that value's schedule at every axis2 time, or (three-stage) batches
-one segment's length over the axis2 values, as each delay scan batches all
-its delays.  Every cell equals an independent propagation, which the
-test-suite checks.
+against times in ns); the CLI layer applies unit conversions.  A sampled
+sweep makes one :mod:`picopulse.dynamics` core call for the whole grid: its
+rows' schedules share their segment durations, so their Hamiltonians are
+stacked and sampled at every axis2 time together.  A three-stage sweep makes
+one call per axis1 value, which batches one segment's length over the axis2
+values, as each delay scan batches all its delays.  Every cell equals an
+independent propagation, which the test-suite checks.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def populations_at(schedule: Schedule, psi0: np.ndarray, times: np.ndarray) -> n
 
     Times beyond the schedule end are clamped to the final state.
     """
-    return np.abs(sample_states(schedule, psi0, times)) ** 2
+    return np.abs(sample_states(schedule.hamiltonians(), schedule.durations(), psi0, times)) ** 2
 
 
 def _grid(spec: SweepSpec, values: np.ndarray, **meta) -> SweepGrid:
@@ -157,18 +158,21 @@ def _grid(spec: SweepSpec, values: np.ndarray, **meta) -> SweepGrid:
 
 
 def _sampled_populations(spec: SweepSpec, schedule_of) -> np.ndarray:
-    """Populations ``(axis1, axis2, d)`` at the axis2 times, one core call per axis1 value.
+    """Populations ``(axis1, axis2, d)`` at the axis2 times, in one core call.
 
-    ``schedule_of(value, tail)`` builds the value's schedule; the tail pads
-    its pulses out to the last time.
+    ``schedule_of(value, tail)`` builds an axis1 value's schedule; the tail
+    pads its pulses out to the last time.  The rows' Hamiltonians are stacked
+    and share the first row's durations, which no axis1 value changes.
     """
     values, times = spec.axis1.values(), spec.axis2.values()
     tail = max(float(times[-1]) - schedule_of(values[0], 0.0).total_duration, 0.0) + 1e-9
-    rows = []
-    for value in values:
-        sched = schedule_of(value, tail)
-        rows.append(populations_at(sched, np.eye(sched.dimension, dtype=complex)[0], times))
-    return np.array(rows)
+    rows = [schedule_of(value, tail) for value in values]
+    durations = np.array([row.durations() for row in rows])
+    if np.any(durations != durations[0]):
+        raise ValueError("a sampled sweep's segment durations must not depend on axis1")
+    hams = np.array([row.hamiltonians() for row in rows])
+    pops = np.abs(sample_states(hams, durations[0], np.eye(rows[0].dimension)[0], times))
+    return np.square(pops, out=pops)  # in place: the grid is a sweep's largest array
 
 
 def _scan_durations(schedule: Schedule, k: int, lengths) -> np.ndarray:

@@ -6,6 +6,8 @@ and eigensolver phases differ between the two paths, so propagators and
 states are compared to 1e-12; the Hamiltonians themselves to 1e-15.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -147,6 +149,52 @@ def test_zero_segment_schedule_is_the_identity():
                           np.abs([psi0, psi0]) ** 2)
 
 
+@st.composite
+def shared_duration_stacks(draw):
+    """One to four schedules of one dimension that share their durations (maybe none)."""
+    dim = draw(st.sampled_from((2, 4)))
+    n = draw(st.integers(0, 5))
+    lengths = [draw(durations) for _ in range(n)]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        drives = [[draw(controls), draw(controls), draw(controls)] if dim == 4
+                  else [draw(controls), 0.0, 0.0] for _ in range(n)]
+        rows.append(Schedule.from_arrays(draw(controls), lengths, np.reshape(drives, (n, 3)),
+                                         delta2=draw(controls) if dim == 4 else 0.0,
+                                         dimension=dim))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_sampler_matches_per_row_sampling(data):
+    rows = data.draw(shared_duration_stacks())
+    first = rows[0]
+    psi0 = data.draw(initial_states(first.dimension))
+    total = first.total_duration
+    free = data.draw(st.lists(st.floats(-0.5, 1.5 * total + 0.1), max_size=8))
+    edges = [-0.2, total + 0.3, total + 1e-13]
+    times = data.draw(st.permutations(free + list(first.boundaries()) + edges))
+    hams = np.array([row.hamiltonians() for row in rows])
+    states = dynamics.sample_states(hams, first.durations(), psi0, times)
+    assert states.shape == (len(rows), len(times), first.dimension)
+    nested = dynamics.sample_states(hams[None], first.durations(), psi0, times)
+    assert nested.shape == (1,) + states.shape
+    assert np.max(np.abs(nested[0] - states)) <= 1e-12
+    for row, got in zip(rows, states):
+        alone = dynamics.sample_states(row.hamiltonians(), row.durations(), psi0, times)
+        assert np.max(np.abs(got - alone)) <= 1e-12
+        assert np.max(np.abs(got - reference_states(row, psi0, times))) <= 1e-12
+
+
+def test_sampler_durations_must_match_the_hamiltonians():
+    hams = core.hamiltonians([(1.0, 2.0), (1.0, 0.0)])
+    with pytest.raises(ValueError, match="durations"):
+        dynamics.sample_states(hams, [0.1], [1.0, 0.0], [0.05])
+    with pytest.raises(ValueError, match="durations"):
+        dynamics.sample_states(hams, [0.1, -0.2], [1.0, 0.0], [0.05])
+
+
 def test_non_finite_detuning_rejected():
     for schedule in (Schedule(delta1=np.nan, segments=(Segment(0.1, e1=1.0),)),
                      Schedule(delta1=1.0, delta2=np.inf, dimension=4,
@@ -250,6 +298,32 @@ def test_batched_scans_make_one_stacked_eigh_per_row(monkeypatch):
     calls.clear()
     protocols.ramsey_delay_scan(40.0, 1.5, 0.02, np.linspace(0.0, 8.0, 30))
     assert len(calls) == 1
+    for runner, names, build, _ in SAMPLED.values():  # one stacked eigh over all rows
+        calls.clear()
+        fixed = {k: 0.05 if k.startswith("tau") else 1.5 for k in names}
+        runner(SweepSpec(Axis("a", 1.0, 30.0, 5), Axis("t", 0.0, 0.3, 7), fixed=fixed))
+        sched = build(fixed, 1.0, 1.0)
+        assert calls == [(5, len(sched.segments), sched.dimension, sched.dimension)]
+
+
+def test_sampled_sweeps_build_no_per_sample_propagators():
+    """Traced peaks of a 240x120 pair sweep and a 200x120 coupler sweep stay under 6 MB;
+    the coupler's per-sample (rows, times, 4, 4) propagators alone would take 6.1 MB."""
+    pair = (protocols.sweep_pulse_pair,
+            SweepSpec(Axis("a", 3.0, 125.0, 240), Axis("t", 0.01, 3.0, 120),
+                      fixed={"delta": 1.57, "tau1": 0.02, "tau2": 0.02, "tau_r": 1.0}))
+    coupler = (protocols.sweep_coupler_pulse,
+               SweepSpec(Axis("j", 0.06, 6.3, 200), Axis("t", 0.005, 3.0, 120),
+                         fixed={"delta": 1.57, "tau": 2.0}))
+    for runner, spec in (pair, coupler):
+        runner(spec)  # first calls import and cache outside the trace
+        tracemalloc.start()
+        try:
+            runner(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6, (runner.__name__, peak)
 
 
 @pytest.mark.parametrize("start", [0.0, -0.1])

@@ -574,3 +574,55 @@ def test_library_errors_say_their_numbers_are_in_internal_units(tmp_path, capsys
     rc, _ = run(tmp_path, "sweep", dict(SWEEP_CFG, amplitdue=1.0), name="note.json")
     assert rc == 2
     assert "internal units" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,config,field", [
+    ("ramsey", dict(RAMSEY_CFG, amplitude="25"), "amplitude"),
+    ("ramsey", dict(RAMSEY_CFG, tau_r=dict(RAMSEY_CFG["tau_r"], stop="8000")), "tau_r.stop"),
+    ("lindblad", dict(RAMSEY_CFG, gamma="0.05", gamma_phi=0.1), "gamma"),
+    ("sweep", dict(SWEEP_CFG, axis1=dict(SWEEP_CFG["axis1"], start="0.5")), "axis1.start"),
+    ("sweep", dict(SWEEP_CFG, fixed=dict(SWEEP_CFG["fixed"], tau="100")), "fixed.tau"),
+    ("calibrate", dict(CAL_CFG, tol="1e-4"), "tol"),
+    ("calibrate", dict(CAL_CFG, target={"kind": "state", "vector": ["1", 0]}),
+     "target.vector[0]"),
+    ("shape", {"ljj": {"i_b": "0.2"}}, "ljj.i_b"),
+    ("shape", {"amp": {"ic1": "0.7"}}, "amp.ic1"),
+    ("shape", {"energy_scale": "1"}, "energy_scale"),
+    ("shape", {"bias_sweep": [0.2, "0.3"]}, "bias_sweep[1]"),
+])
+def test_a_string_is_not_a_number(tmp_path, capsys, recwarn, monkeypatch, command, config,
+                                  field):
+    monkeypatch.setattr(fluxshaper, "simulate_ljj_fluxon", no_solve)
+    monkeypatch.setattr(protocols, "calibrate_pulse", no_solve)
+    rc, out = run(tmp_path, command, config, name="string.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, f"invalid {field}: expected a number")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("biases,field", [([1.5], "bias_sweep[0]"),
+                                          ([0.2, math.nan], "bias_sweep[1]"),
+                                          ([0.3, 0.5, -0.1], "bias_sweep[2]")])
+def test_out_of_range_bias_exits_2_before_any_solve(tmp_path, capsys, recwarn, monkeypatch,
+                                                    biases, field):
+    monkeypatch.setattr(fluxshaper, "simulate_ljj_fluxon", no_solve)
+    rc, out = run(tmp_path, "shape", dict(SHAPE_CFG, bias_sweep=biases), name="bias.json")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid {field}: ") and "internal units" not in err
+    assert not recwarn.list and not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("target,field,length", [
+    ({"kind": "state", "vector": [1, 0, 0, 0]}, "target.vector", 4),
+    ({"kind": "state", "vector": [1]}, "target.vector", 1),
+    ({"kind": "state", "name": "inversion"}, "target.name", 4),
+])
+def test_target_of_the_wrong_dimension_is_named(tmp_path, capsys, recwarn, monkeypatch,
+                                                target, field, length):
+    monkeypatch.setattr(protocols, "calibrate_pulse", no_solve)
+    rc, _ = run(tmp_path, "calibrate", dict(CAL_CFG, target=target), name="dim.json",
+                extra=("--convention", "angular"))
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, f"{field} has {length} entries, but the "
+                                           "template's states have 2")
