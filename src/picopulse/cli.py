@@ -280,6 +280,8 @@ def _calibration_target(raw: dict, dimension: int):
     if raw["kind"] != "state":
         raise ConfigError(f"unsupported target kind {raw['kind']!r}; only 'state' "
                           "targets are accepted from configs")
+    if raw["name"] is not None and raw["vector"] is not None:
+        raise ConfigError("target.name and target.vector are exclusive; give one of them")
     if raw["name"] is not None:
         named = {"flip": np.array([0.0, 1.0], dtype=complex),
                  "inversion": fluxshaper.target_state("inversion"),

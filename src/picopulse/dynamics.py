@@ -28,9 +28,12 @@ evolution integrates the master equation
 
 with s+ = |1><0|, so the relaxation channel drives |1> -> |0>.  Temperature
 effects are neglected and the dissipators act at all times, including during
-pulses.  Its superoperator is not normal, so ``scipy.linalg.expm``
-exponentiates it, in one stacked call over the distinct generators per
-open-system call.
+pulses.  Its superoperator is not normal, so each distinct generator
+``L dt`` of an open-system call is exponentiated from one stacked ``eig``, as
+``V diag(exp(lambda)) V^-1`` in the Pauli basis, which keeps the trace.  That
+form is accurate only while ``V`` is well conditioned; a generator whose
+``cond(V)`` exceeds :data:`EIG_COND_MAX`, as near an exceptional point, falls
+back to ``scipy.linalg.expm``, which is imported only then.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     ID2,
@@ -54,6 +56,9 @@ from .core import (
 
 #: a sample time at most this far (ns) past a segment end is taken from that segment
 BOUNDARY_TOL = 1e-12
+#: a Lindblad generator whose eigenvector matrix has a larger condition number is
+#: exponentiated by ``scipy.linalg.expm`` instead of from its eigensystem
+EIG_COND_MAX = 1e3
 
 
 @dataclass(frozen=True)
@@ -189,12 +194,34 @@ def _segment_propagators(hams, durations):
     return spectral_propagators(vals, vecs, _checked_durations(durations))
 
 
+# maps a row-major vec(rho) to its Pauli coefficients (tr rho, x, y, z); the inverse is exact
+_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+_PAULI_INV = _PAULI.conj().T / 2
+
+
 def _expm_distinct(gens) -> np.ndarray:
-    """``scipy.linalg.expm`` of each generator ``(..., 4, 4)``, in one stacked call over
-    the distinct ones: equal bits give equal exponentials (-0.0 is not +0.0)."""
+    """Exponential of each generator ``(..., 4, 4)``, computed once per distinct one
+    (equal bits give equal exponentials; -0.0 is not +0.0).
+
+    One stacked ``eig`` gives ``V diag(exp(lambda)) V^-1``, taken in the Pauli
+    basis: there a trace-preserving generator's first row is exactly zero, so
+    ``eig`` isolates its zero eigenvalue and the exponential keeps the trace to
+    rounding.  Generators with ``cond(V) > EIG_COND_MAX``, defective ones
+    included, go to ``scipy.linalg.expm`` instead.
+    """
     flat = np.ascontiguousarray(gens, dtype=complex).reshape(-1, 16)
     keys, inverse = np.unique(flat.view(np.dtype((np.void, 256))).ravel(), return_inverse=True)
-    return scipy.linalg.expm(keys.view(complex).reshape(-1, 4, 4))[inverse].reshape(gens.shape)
+    mats = keys.view(complex).reshape(-1, 4, 4)
+    vals, vecs = np.linalg.eig(_PAULI @ mats @ _PAULI_INV)
+    good = np.linalg.cond(vecs) <= EIG_COND_MAX
+    v = vecs[good]
+    out = np.empty_like(mats)
+    out[good] = _PAULI_INV @ ((v * np.exp(vals[good])[:, None, :]) @ np.linalg.inv(v)) @ _PAULI
+    if not good.all():
+        import scipy.linalg
+
+        out[~good] = scipy.linalg.expm(mats[~good])
+    return out[inverse].reshape(gens.shape)
 
 
 def _boundary_states(steps, v0) -> np.ndarray:
@@ -450,7 +477,7 @@ def evolve_lindblad(schedule: Schedule, rho0, lp: LindbladParams,
 def evolve_lindblad_finals(hams, durations, rho0, lp: LindbladParams) -> np.ndarray:
     """Final density matrices ``(..., 2, 2)`` from ``rho0`` for qubit Hamiltonians
     ``(..., n_seg, 2, 2)`` and durations ``(..., n_seg)`` >= 0, broadcast as in
-    :func:`evolve_unitaries`; one stacked ``expm`` over the distinct generators."""
+    :func:`evolve_unitaries`; one stacked ``eig`` over the distinct generators."""
     gens = lindblad_superoperator(hams, lp) * _checked_durations(durations)[..., None, None]
     vec = _boundary_states(_expm_distinct(gens), check_density_matrix(rho0).reshape(4))
     return vec[..., -1, :].reshape(vec.shape[:-2] + (2, 2))

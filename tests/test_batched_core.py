@@ -449,15 +449,23 @@ def test_lindblad_finals_reject_bad_durations(bad):
                                         dynamics.LindbladParams(0.1, 0.1))
 
 
-def test_lindblad_scan_makes_one_stacked_expm(monkeypatch):
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm",
-                        lambda a: calls.append(np.shape(a)) or expm(a))
+def count_eig_and_expm(monkeypatch):
+    """Record the shape of every ``np.linalg.eig`` and ``scipy.linalg.expm`` call."""
+    calls = {"eig": [], "expm": []}
+    for module, name in ((np.linalg, "eig"), (scipy.linalg, "expm")):
+        def counted(a, _f=getattr(module, name), _name=name):
+            calls[_name].append(np.shape(a))
+            return _f(a)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_lindblad_scan_makes_one_stacked_eig(monkeypatch):
+    calls = count_eig_and_expm(monkeypatch)
     delays = np.concatenate([np.linspace(0.0, 8.0, 30), [2.0, 0.0]])
     rows = protocols.lindblad_ramsey_scan(40.0, 1.5, 0.02, delays,
                                           dynamics.LindbladParams(0.3, 0.6))
-    assert calls == [(len(np.unique(delays)) + 1, 4, 4)]
+    assert calls == {"eig": [(len(np.unique(delays)) + 1, 4, 4)], "expm": []}
     assert np.array_equal(rows[:, 0], delays)
 
 
@@ -532,13 +540,86 @@ def test_sampled_lindblad_at_zero_rates_is_the_pure_state(schedule, psi0, sample
     assert np.max(np.abs(traj.states - ref)) <= 1e-12
 
 
-def test_sampled_lindblad_makes_one_stacked_expm(monkeypatch):
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm",
-                        lambda a: calls.append(np.shape(a)) or expm(a))
+def test_sampled_lindblad_makes_one_stacked_eig(monkeypatch):
+    calls = count_eig_and_expm(monkeypatch)
     schedule = Schedule.from_arrays(1.5, [0.3, 0.2, 0.4], [(20.0, 0, 0), (0, 0, 0),
                                                            (20.0, 0, 0)])
     dynamics.evolve_lindblad(schedule, np.diag([1.0, 0.0]), dynamics.LindbladParams(0.3, 0.6),
                              0.05)
-    assert len(calls) == 1 and calls[0][1:] == (4, 4)
+    assert len(calls["eig"]) == 1 and calls["eig"][0][1:] == (4, 4)
+    assert calls["expm"] == []
+
+
+# ---------------------------------------------------------------------------
+# the eigenvector exponential and its expm fallback for ill-conditioned generators
+
+def relaxation_generators(drives, t=3.0):
+    """``L t`` for resonant drives at gamma = 1, gamma_phi = 0: the generator is
+    defective (an exceptional point) at drive 0.25."""
+    hams = core.hamiltonians(np.column_stack([np.zeros(len(drives)), drives]))
+    return dynamics.lindblad_superoperator(hams, dynamics.LindbladParams(1.0, 0.0)) * t
+
+
+def test_generators_at_and_near_an_exceptional_point_take_the_fallback(monkeypatch):
+    gens = relaxation_generators(0.25 + np.linspace(-1e-7, 1e-7, 21))
+    calls = count_eig_and_expm(monkeypatch)
+    out = dynamics._expm_distinct(gens)
+    assert calls == {"eig": [(21, 4, 4)], "expm": [(21, 4, 4)]}
+    assert np.max(np.abs(out - scipy.linalg.expm(gens))) <= 1e-12
+
+
+def test_generators_around_an_exceptional_point_match_expm(monkeypatch):
+    """Some of these fall back and some do not; both sides of the guard stay within 1e-12."""
+    gens = relaxation_generators(0.25 + np.linspace(-1e-5, 1e-5, 201))
+    ref = scipy.linalg.expm(gens)
+    calls = count_eig_and_expm(monkeypatch)
+    out = dynamics._expm_distinct(gens)
+    assert len(calls["expm"]) == 1 and 0 < calls["expm"][0][0] < len(gens)
+    assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+def test_jordan_blocks_take_the_fallback(monkeypatch):
+    """A 4x4 Jordan block, and one in the Pauli basis whose ``eig`` returns an exactly
+    singular ``V``: both fall back without a ``LinAlgError``."""
+    jordan = 0.5 * np.eye(4, dtype=complex) + np.eye(4, k=1)
+    nilpotent = dynamics._PAULI_INV @ np.eye(4, k=1) @ dynamics._PAULI
+    pauli_vecs = np.linalg.eig(dynamics._PAULI @ nilpotent @ dynamics._PAULI_INV)[1]
+    assert np.linalg.matrix_rank(pauli_vecs) < 4
+    gens = np.stack([jordan, nilpotent])
+    calls = count_eig_and_expm(monkeypatch)
+    out = dynamics._expm_distinct(gens)
+    assert calls["expm"] == [(2, 4, 4)]
+    assert np.max(np.abs(out - scipy.linalg.expm(gens))) <= 1e-12
+
+
+def test_zero_generator_gives_exactly_the_identity():
+    lop = dynamics.lindblad_superoperator(core.hamiltonians((1.5, 40.0)),
+                                          dynamics.LindbladParams(0.3, 0.6))
+    zeros = np.stack([np.zeros((4, 4)), lop * 0.0, lop * -0.0])
+    assert np.array_equal(dynamics._expm_distinct(zeros), np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+def test_eigenvector_exponential_keeps_the_trace(monkeypatch):
+    """``tr exp(L t) rho = tr rho`` to rounding: the Pauli-basis ``eig`` isolates the
+    zero eigenvalue of each trace-preserving generator (``expm`` reaches ~5e-14 here)."""
+    rng = np.random.default_rng(7)
+    n = 400
+    hams = core.hamiltonians(np.column_stack([rng.uniform(-40, 40, n), rng.uniform(-40, 40, n)]))
+    lops = np.stack([dynamics.lindblad_superoperator(h, dynamics.LindbladParams(*g))
+                     for h, g in zip(hams, rng.uniform(0.0, 3.0, (n, 2)))])
+    calls = count_eig_and_expm(monkeypatch)
+    out = dynamics._expm_distinct(lops * rng.uniform(0.0, 10.0, n)[:, None, None])
+    assert calls["expm"] == []
+    trace = np.array([1.0, 0.0, 0.0, 1.0])
+    assert np.max(np.abs(trace @ out - trace)) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(controls, st.lists(controls, min_size=1, max_size=8), rates, rates,
+       st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=1, max_size=8))
+def test_physical_generators_match_expm(delta, drives, gamma, gamma_phi, dts):
+    n = min(len(drives), len(dts))
+    lops = dynamics.lindblad_superoperator(qubit_hamiltonians(delta, np.array(drives[:n])),
+                                           dynamics.LindbladParams(gamma, gamma_phi))
+    gens = lops * np.array(dts[:n])[:, None, None]
+    assert np.max(np.abs(dynamics._expm_distinct(gens) - scipy.linalg.expm(gens))) <= 1e-12

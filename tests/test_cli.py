@@ -626,3 +626,17 @@ def test_target_of_the_wrong_dimension_is_named(tmp_path, capsys, recwarn, monke
     assert rc == 2
     assert_one_error_line(capsys, recwarn, f"{field} has {length} entries, but the "
                                            "template's states have 2")
+
+
+@pytest.mark.parametrize("template", ["single-pulse", "shaped-demo"])
+def test_target_with_name_and_vector_exits_2(tmp_path, capsys, recwarn, monkeypatch, template):
+    monkeypatch.setattr(protocols, "calibrate_pulse", no_solve)
+    monkeypatch.setattr(fluxshaper, "end_to_end_demo", no_solve)
+    target = {"kind": "state", "name": "flip", "vector": [1, 0]}
+    cfg = (dict(CAL_CFG, target=target) if template == "single-pulse" else
+           {"target": dict(target, name="inversion", vector=[1, 0, 0, 0]),
+            "template": {"type": "shaped-demo", "delta": 0.25, "j": 0.05}})
+    rc, out = run(tmp_path, "calibrate", cfg, name="both.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, "target.name and target.vector")
+    assert not (out / "manifest.json").exists()

@@ -1,11 +1,15 @@
 """Each JSON example in README's "Command-line tool" section runs as documented."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import picopulse
 from picopulse.cli import _COMMANDS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -39,3 +43,20 @@ def test_readme_example_runs(tmp_path, command, config):
     for name in ("demo.json", "calibration.json"):
         if (out / name).exists():
             assert json.loads((out / name).read_text())["converged"] is True
+
+
+def test_readme_lindblad_scan_loads_no_scipy(tmp_path):
+    """The open-system scan exponentiates its generators without importing scipy."""
+    (config,) = [config for command, config in EXAMPLES if command == "lindblad"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    src = str(Path(picopulse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; from picopulse.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code, "lindblad", "--config", str(path),
+                          "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"
+    assert (tmp_path / "out" / "lindblad.csv").exists()
