@@ -9,9 +9,8 @@ batched core serves every closed-system result.  Segment Hamiltonians
 index a batch of schedules, get one stacked ``eigh``, and
 :func:`picopulse.core.spectral_propagators` turns the eigensystems into
 exact segment propagators, which :func:`evolve_unitaries` multiplies in
-order.  :func:`evolve_unitary` is its batch-of-one case for a schedule, and
-:class:`PropagatorReuse` its form for a sequence of schedules that share
-segments, as in a calibration.  One sampler serves closed and open systems:
+order.  :func:`evolve_unitary` is its batch-of-one case for a schedule.  One
+sampler serves closed and open systems:
 :func:`sample_states` and :func:`evolve_lindblad` evolve each sample time
 from the state at the start of its segment.  :func:`sample_states` takes
 Hamiltonians ``(..., n_seg, d, d)`` that share durations ``(n_seg,)``, as a
@@ -287,28 +286,6 @@ def evolve_unitaries(hams, durations) -> np.ndarray:
 def evolve_unitary(schedule: Schedule) -> np.ndarray:
     """Ordered product of exact per-segment propagators exp(-i H_seg dt_seg)."""
     return evolve_unitaries(schedule.hamiltonians(), schedule.durations())
-
-
-class PropagatorReuse:
-    """:func:`evolve_unitary` over schedules that share segments, bit-identical to it:
-    only segments whose Hamiltonian or duration changed bits (``-0.0`` is not
-    ``+0.0``) are diagonalized again; the others keep their propagators."""
-
-    def __init__(self):
-        self._rows = self._steps = None
-
-    def evolve_unitary(self, schedule: Schedule) -> np.ndarray:
-        hams, durations = schedule.hamiltonians(), schedule.durations()
-        rows = np.column_stack([hams.view(float).reshape(-1, 2 * schedule.dimension**2),
-                                durations]).view(np.uint64)
-        if self._rows is not None and self._rows.shape == rows.shape:
-            changed = np.any(rows != self._rows, axis=1)
-            steps = self._steps.copy()  # a unitary handed out may be a view of the old one
-        else:
-            changed, steps = np.ones(len(rows), dtype=bool), np.empty(hams.shape, dtype=complex)
-        steps[changed] = _segment_propagators(hams[changed], durations[changed])
-        self._rows, self._steps = rows, steps
-        return _ordered_product(steps)
 
 
 def sample_states(hams, durations, psi0, times) -> np.ndarray:

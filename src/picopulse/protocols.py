@@ -1,5 +1,5 @@
 """Experiment-level scripts: parameter sweeps, delay scans, Bloch trajectories
-and derivative-free pulse calibration.
+and pulse calibration by a quasi-Newton search on exact adjoint gradients.
 
 Sweep axes are dimensionless by default (pulse areas and amplitudes in rad/ns
 against times in ns); the CLI layer applies unit conversions.  A sampled
@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .core import bloch_vector, gate_fidelity, state_fidelity
+from .core import bloch_vector, check_state, check_unitary, spectral_propagators
 from .dynamics import (
     LindbladParams,
-    PropagatorReuse,
     Schedule,
     Segment,
+    _boundary_states,
     evolve_lindblad_finals,
     evolve_state,
     evolve_unitaries,
@@ -307,103 +307,224 @@ def peak_positions(x, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # calibration
 
-def _golden_section(f, lo: float, hi: float, rel_tol: float = 1e-7,
-                    max_iter: int = 80):
-    """Deterministic golden-section minimization on [lo, hi]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    span0 = b - a
-    for _ in range(max_iter):
-        if b - a <= rel_tol * span0:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    if fc < fd:
-        return c, fc
-    return d, fd
-
-
-_MAX_SWEEPS = 12  # coordinate sweeps per calibration, at most
 _COARSE_POINTS = 25  # coarse-scan points per coordinate
+#: the template is differenced over this fraction of each bound's width for dH/dp and dt/dp
+_DIFF_STEP = 1e-6
+_ARMIJO = 1e-4  # sufficient-decrease fraction of the backtracking line search
+_MAX_HALVINGS = 30  # line-search halvings per iteration, at most
+_HESS_STEP = 1e-4  # gradient-difference step for the starting Hessian, in box widths
 
 
-class _BudgetExhausted(Exception):
-    """Internal flow control: the objective-evaluation budget ran out."""
+class _Infidelity:
+    """``1 - F`` of a template's schedules against a target, and its adjoint gradient.
+
+    A target is taken as ``m`` (initial, goal) state pairs: the first ``m``
+    basis states and the rows of ``goals (m, d)``, with ``F = |sum_k <g_k|U|k>|^2 / m^2``.
+    A state target from the ground state is one pair; a unitary target ``G`` is
+    ``d`` pairs, the columns of ``G``, which gives ``|Tr(G^dag U)|^2 / d^2``.
+    """
+
+    def __init__(self, target, template):
+        kind, goal = target
+        if kind == "state":
+            self.goals = check_state(goal)[None]
+        elif kind == "unitary":
+            self.goals = check_unitary(goal).T
+        else:
+            raise ValueError(f"unknown target kind {kind!r}")
+        self.template, self.layout = template, None
+
+    def schedule(self, p) -> Schedule:
+        """The template's schedule at ``p``, which must keep the first one's layout."""
+        schedule = self.template(np.array(p, dtype=float))
+        layout = (schedule.dimension, len(schedule.durations()))
+        if self.layout is None:
+            if schedule.dimension != self.goals.shape[1]:
+                raise ValueError(f"the target has dimension {self.goals.shape[1]}, but the "
+                                 f"template's schedules have {schedule.dimension}")
+            self.layout = layout
+        elif layout != self.layout:
+            raise ValueError(f"the template's layout (dimension, segments) changed from "
+                             f"{self.layout} to {layout}; it must not depend on the parameters")
+        return schedule
+
+    def values(self, rows) -> np.ndarray:
+        """Infidelities at each row of parameters, from one stacked core call."""
+        schedules = [self.schedule(p) for p in rows]
+        u = evolve_unitaries(np.array([s.hamiltonians() for s in schedules]),
+                             np.array([s.durations() for s in schedules]))
+        m = len(self.goals)
+        return 1.0 - np.abs(np.einsum("rik,ki->r", u[..., :m], self.goals.conj()) / m) ** 2
+
+    def at(self, p, lo, hi):
+        """``(1 - F, gradient)`` at ``p``; ``gradient()`` gives ``d(1 - F)/dp`` from the same
+        ``eigh`` (GRAPE adjoint: Khaneja et al., J. Magn. Reson. 172, 296 (2005)).
+
+        Segment ``k`` contributes ``<lambda_k+1| dU_k |psi_k>`` from the forward states
+        ``psi`` and backward costates ``lambda``.  In its eigenbasis ``dU_k`` is the
+        divided differences of ``exp(-i lambda t)`` times ``V^dag dH V``, plus
+        ``-i H U dt`` (Machnes et al., PRA 84, 022305 (2011)).  ``dH/dp`` and ``dt/dp``
+        difference the template at ``p`` and a step into the box ``[lo, hi]``, which is
+        exact to rounding for a template affine in its parameters.
+        """
+        schedule = self.schedule(p)
+        hams, durations = schedule.hamiltonians(), schedule.durations()
+        vals, vecs = np.linalg.eigh(hams)
+        steps = spectral_propagators(vals, vecs, durations)
+        m, d = self.goals.shape
+        states = _boundary_states(np.broadcast_to(steps, (m,) + steps.shape), np.eye(d)[:m])
+        overlap = np.vdot(self.goals, states[:, -1]) / m
+
+        def gradient() -> np.ndarray:
+            back = np.broadcast_to(steps[::-1].conj().swapaxes(-1, -2), (m,) + steps.shape)
+            costates = _boundary_states(back, self.goals)[:, ::-1]
+            s = np.einsum("kba,mkb->mka", vecs.conj(), states[:, :-1])  # V^dag psi_k
+            c = np.einsum("kba,mkb->mka", vecs, costates[:, 1:].conj())  # lambda_k+1^dag V
+            c = np.einsum("mka,mkb->kab", c, s)
+            t = durations[:, None, None]
+            divided = (-1j * t * np.exp(-0.5j * t * (vals[:, :, None] + vals[:, None, :]))
+                       * np.sinc(t * (vals[:, :, None] - vals[:, None, :]) / math.tau))
+            dham = vecs.conj() @ (c * divided) @ vecs.swapaxes(-1, -2)
+            ddur = -1j * np.einsum("ka,kaa->k", vals * np.exp(-1j * durations[:, None] * vals), c)
+            grad = np.empty(len(p))
+            for i in range(len(p)):
+                q = np.array(p, dtype=float)
+                step = _DIFF_STEP * (hi[i] - lo[i])
+                q[i] += step if q[i] + step <= hi[i] else -step
+                moved = self.schedule(q)
+                h = q[i] - p[i]
+                dover = (np.vdot(dham.conj(), moved.hamiltonians() - hams)
+                         + ddur @ (moved.durations() - durations)) / (h * m)
+                grad[i] = -2.0 * (overlap.conjugate() * dover).real
+            return grad
+
+        return 1.0 - abs(overlap) ** 2, gradient
+
+
+def _checked_inputs(bounds, seed, tol, budget):
+    """Bounds ``lo, hi`` and the seed as arrays, after checking every input by name."""
+    box = np.array(bounds, dtype=float).reshape(-1, 2)
+    params = np.array(seed, dtype=float).ravel()
+    if len(params) != len(box):
+        raise ValueError("seed and bounds lengths differ")
+    if len(params) > 6:
+        raise ValueError("template may have at most 6 free parameters")
+    for i, ((lo, hi), p) in enumerate(zip(box.tolist(), params.tolist())):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"bounds[{i}] = [{lo}, {hi}] must be finite with lo < hi")
+        if not lo <= p <= hi:
+            raise ValueError(f"seed[{i}] = {p} lies outside bounds[{i}] = [{lo}, {hi}]")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not (budget >= 0 and float(budget).is_integer()):
+        raise ValueError(f"budget must be an integer >= 0, got {budget}")
+    return box[:, 0], box[:, 1], params
 
 
 def calibrate_pulse(target, template, bounds, seed, tol: float = 1e-4,
                     budget: int = 4000) -> CalibrationResult:
-    """Derivative-free calibration of a parameterized schedule.
+    """Gradient-based calibration of a parameterized schedule.
 
-    ``target`` is ``("state", vector)`` or ``("unitary", matrix)``;
-    ``template`` maps a parameter vector to a Schedule; ``bounds`` is a list of
-    (lo, hi) pairs and ``seed`` the analytic starting point.  Each coordinate
-    is refined by a coarse scan plus golden-section search.  The reported
-    fidelity comes from a fresh propagation with the parameters rounded to
-    output precision, not from the optimizer's internal value.
+    ``target`` is ``("state", vector)``, reached from the ground state, or
+    ``("unitary", matrix)``; ``template`` maps a parameter vector to a Schedule
+    whose dimension and segment count do not depend on it; ``bounds`` is a list
+    of (lo, hi) pairs and ``seed`` the analytic starting point inside them.
+
+    The search stops as soon as the infidelity ``1 - F`` is at most ``tol / 10``,
+    the seed included.  Otherwise a coarse scan of each coordinate over its
+    bounds gives the start of a quasi-Newton search on the box (see
+    :func:`_projected_bfgs`), which stops when an iteration gains less than
+    ``tol / 1000``.  ``iterations`` counts objective evaluations (propagations),
+    never more than ``budget``.  The reported fidelity comes from a fresh
+    propagation with the parameters rounded to output precision, not from the
+    optimizer's internal value.
     """
-    kind, goal = target
-    if kind not in ("state", "unitary"):
-        raise ValueError(f"unknown target kind {kind!r}")
-    goal = np.asarray(goal, dtype=complex)
-    params = np.array(seed, dtype=float)
-    if len(params) != len(bounds):
-        raise ValueError("seed and bounds lengths differ")
-    if len(params) > 6:
-        raise ValueError("template may have at most 6 free parameters")
+    lo, hi, params = _checked_inputs(bounds, seed, tol, budget)
+    objective = _Infidelity(target, template)
+    width = hi - lo
     evals = 0
-    evolve = PropagatorReuse().evolve_unitary  # a coordinate step re-diagonalizes only its rows
 
-    def fidelity_of(p) -> float:
-        u = evolve(template(np.asarray(p, dtype=float)))
-        if kind == "unitary":
-            return gate_fidelity(goal, u)
-        psi = u[:, 0]  # evolved from the ground state
-        return state_fidelity(goal, psi / np.linalg.norm(psi))
-
-    def objective(p) -> float:
+    def evaluate(p):
         nonlocal evals
-        if evals >= budget:
-            raise _BudgetExhausted
         evals += 1
-        return 1.0 - fidelity_of(p)
+        return objective.at(p, lo, hi)
 
-    try:
-        best = objective(params)
-    except _BudgetExhausted:
-        best = 1.0 - fidelity_of(params)
-    try:
-        for _ in range(_MAX_SWEEPS):
-            improved = best
-            for i, (lo, hi) in enumerate(bounds):
-                def line(x, i=i):
-                    p = params.copy()
-                    p[i] = x
-                    return objective(p)
+    def scaled(x):  # the objective on the unit box
+        value, gradient = evaluate(np.clip(lo + width * x, lo, hi))
+        return value, lambda: gradient() * width
 
-                # coarse scan keeps the oscillatory objective from trapping
-                # the golden-section refinement in a secondary minimum
-                xs = np.linspace(lo, hi, _COARSE_POINTS)
-                k = int(np.argmin([line(x) for x in xs]))
-                x, fx = _golden_section(line, xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)])
-                if fx < best:
-                    best = fx
-                    params[i] = x
-            if best <= tol * 0.1 or improved - best < tol * 1e-3:
+    if budget:
+        best, gradient = evaluate(params)
+        # coarse scan keeps the oscillatory objective from trapping the local search
+        # in a secondary minimum
+        for i in range(len(params)):
+            if best <= tol * 0.1 or evals + _COARSE_POINTS > budget:
                 break
-    except _BudgetExhausted:
-        pass
+            rows = np.repeat(params[None], _COARSE_POINTS, axis=0)
+            rows[:, i] = np.linspace(lo[i], hi[i], _COARSE_POINTS)
+            values = objective.values(rows)
+            evals += _COARSE_POINTS
+            k = int(np.argmin(values))
+            if values[k] < best:
+                best, params, gradient = values[k], rows[k], None
+        if best > tol * 0.1 and gradient is None and evals < budget:
+            best, gradient = evaluate(params)
+        if best > tol * 0.1 and gradient is not None:
+            x = _projected_bfgs(scaled, (params - lo) / width, best, gradient() * width, tol,
+                                lambda: evals < budget)
+            params = np.clip(lo + width * x, lo, hi)
 
     rounded = np.array([float(f"{p:.12g}") for p in params])
-    achieved = fidelity_of(rounded)
+    achieved = 1.0 - float(objective.values(rounded[None])[0])
     return CalibrationResult(params=rounded, fidelity=achieved, iterations=evals,
                              converged=bool(1.0 - achieved <= tol))
+
+
+def _projected_bfgs(evaluate, x, f, g, tol, affordable) -> np.ndarray:
+    """Minimize ``1 - F`` over the unit box from ``x``, where it is ``f`` with gradient ``g``.
+
+    ``evaluate(x)`` gives ``(f, gradient)``.  The BFGS Hessian model starts from
+    differences of the exact gradient, with its eigenvalues made positive, and
+    is updated after each step.  A coordinate on a bound whose gradient points
+    out of the box is held there; the others take the Newton step of the model
+    restricted to them, a descent direction because the model stays positive
+    definite.  A step is halved until it lowers ``f`` and passes Armijo's test.
+    The search ends when ``f <= tol / 10``, when a step gains less than
+    ``tol / 1000``, when no step is accepted or when ``affordable()`` fails.
+    Returns the best point.
+    """
+    hess = np.empty((len(x), len(x)))
+    for j in range(len(x)):
+        if not affordable():
+            return x
+        q = x.copy()
+        q[j] += _HESS_STEP if x[j] + _HESS_STEP <= 1.0 else -_HESS_STEP
+        hess[:, j] = (evaluate(q)[1]() - g) / (q[j] - x[j])
+    vals, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
+    vals = np.maximum(np.abs(vals), 1e-8 * max(np.max(np.abs(vals), initial=0.0), 1.0))
+    hess = (vecs * vals) @ vecs.T
+    while affordable():
+        free = ~(((x <= 0.0) & (g > 0.0)) | ((x >= 1.0) & (g < 0.0)))
+        if not np.any(g[free]):
+            break
+        direction = np.zeros_like(x)
+        direction[free] = -np.linalg.solve(hess[np.ix_(free, free)], g[free])
+        direction /= max(1.0, np.max(np.abs(direction)))  # at most the box's width
+        for halving in range(_MAX_HALVINGS):
+            trial = np.clip(x + 0.5 ** halving * direction, 0.0, 1.0)
+            f_new, gradient = evaluate(trial)
+            if f_new < f and f_new <= f + _ARMIJO * (g @ (trial - x)):
+                break
+            if not affordable():
+                return x
+        else:
+            return x
+        g_new = gradient()
+        s, y = trial - x, g_new - g
+        if s @ y > 0.0:
+            hs = hess @ s
+            hess += np.outer(y, y) / (s @ y) - np.outer(hs, hs) / (s @ hs)
+        gain, x, f, g = f - f_new, trial, f_new, g_new
+        if f <= tol * 0.1 or gain < tol * 1e-3:
+            break
+    return x

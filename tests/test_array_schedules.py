@@ -1,9 +1,8 @@
-"""Array-native schedules and the propagator reuse of the calibration evaluator.
+"""Array-native schedules and the calibration evaluator that builds them.
 
 A schedule built from arrays must be the same schedule, bit for bit, as one
 built from ``Segment`` objects, and it must reject the same bad rows with the
-same errors.  ``PropagatorReuse`` must hand out exactly the unitaries
-``evolve_unitary`` computes afresh, while diagonalizing only changed rows.
+same errors.
 """
 
 import math
@@ -17,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import picopulse
-from picopulse import dynamics, fluxshaper
-from picopulse.dynamics import PropagatorReuse, Schedule, Segment
+from picopulse import dynamics, fluxshaper, protocols
+from picopulse.dynamics import Schedule, Segment
 
 controls = st.one_of(st.floats(-40.0, 40.0, allow_nan=False), st.sampled_from((0.0, -0.0)))
 durations = st.floats(1e-3, 0.5, allow_nan=False)
@@ -65,7 +64,6 @@ def test_empty_schedule_from_arrays():
     schedule = Schedule.from_arrays(1.0, [], np.zeros((0, 3)), delta2=0.5, dimension=4)
     assert schedule.segments == () and schedule.total_duration == 0
     assert np.array_equal(dynamics.evolve_unitary(schedule), np.eye(4))
-    assert np.array_equal(PropagatorReuse().evolve_unitary(schedule), np.eye(4))
 
 
 # mostly valid values, so that whole schedules of valid rows come up often
@@ -125,59 +123,21 @@ def test_schedule_arrays_are_read_only():
         schedule.controls[0, 0] = 5.0
 
 
-@st.composite
-def schedule_sequences(draw):
-    """Schedules that share rows: each one edits some rows of the one before,
-    flips signed zeros, changes a detuning, or starts afresh."""
-    delta1, delta2, dim, durs, ctrl = draw(schedule_arrays())
-    out = [(delta1, delta2, dim, durs, ctrl)]
-    for _ in range(draw(st.integers(1, 6))):
-        durs, ctrl = durs.copy(), ctrl.copy()
-        action = draw(st.sampled_from(("rows", "zeros", "delta", "fresh", "same")))
-        if action == "rows" and len(durs):
-            for k in draw(st.sets(st.integers(0, len(durs) - 1), min_size=1)):
-                ctrl[k, 0] = draw(controls)
-                if draw(st.booleans()):
-                    durs[k] = draw(durations)
-        elif action == "zeros":
-            ctrl = np.where(ctrl == 0.0, np.copysign(0.0, -np.copysign(1.0, ctrl)), ctrl)
-        elif action == "delta":
-            delta1 = draw(controls)
-        elif action == "fresh":
-            delta1, delta2, dim, durs, ctrl = draw(schedule_arrays())
-        out.append((delta1, delta2, dim, durs, ctrl))
-    return out
-
-
-@settings(max_examples=60, deadline=None)
-@given(schedule_sequences())
-def test_propagator_reuse_matches_fresh_evolution_bit_for_bit(sequence):
-    reuse = PropagatorReuse()
-    handed_out = []
-    for delta1, delta2, dim, durs, ctrl in sequence:
-        schedule = Schedule.from_arrays(delta1, durs, ctrl, delta2=delta2, dimension=dim)
-        fresh = dynamics.evolve_unitary(schedule)
-        u = reuse.evolve_unitary(schedule)
-        assert u.tobytes() == fresh.tobytes()
-        handed_out.append((u, fresh.copy()))
-    for u, fresh in handed_out:  # later calls must not write into earlier results
-        assert u.tobytes() == fresh.tobytes()
-
-
 def test_inversion_demo_diagonalizes_fewer_rows_and_builds_no_segments(monkeypatch):
-    eigh, evolve = np.linalg.eigh, PropagatorReuse.evolve_unitary
-    counts = {"evaluations": 0, "rows": 0, "segments": 0, "inside": False}
+    """The inversion seed already meets the stop rule: one evaluation plus the
+    rounded-parameter check, each one ``eigh`` over the schedule's rows."""
+    eigh, calibrate = np.linalg.eigh, protocols.calibrate_pulse
+    counts = {"rows": [], "segments": 0, "inside": False}
 
     def counting_eigh(a, *args, **kwargs):
         if counts["inside"]:
-            counts["rows"] += int(np.prod(np.shape(a)[:-2]))
+            counts["rows"].append(int(np.prod(np.shape(a)[:-2])))
         return eigh(a, *args, **kwargs)
 
-    def counting_evolve(self, schedule):
-        counts["evaluations"] += 1
+    def counting_calibrate(*args, **kwargs):
         counts["inside"] = True
         try:
-            return evolve(self, schedule)
+            return calibrate(*args, **kwargs)
         finally:
             counts["inside"] = False
 
@@ -188,12 +148,12 @@ def test_inversion_demo_diagonalizes_fewer_rows_and_builds_no_segments(monkeypat
         post_init(self)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(PropagatorReuse, "evolve_unitary", counting_evolve)
+    monkeypatch.setattr(protocols, "calibrate_pulse", counting_calibrate)
     monkeypatch.setattr(Segment, "__post_init__", counting_post_init)
     demo = fluxshaper.end_to_end_demo("inversion")
     n_rows = len(demo.schedule.durations())
-    assert counts["evaluations"] == demo.iterations + 1  # plus the rounded-parameter check
-    assert counts["rows"] / counts["evaluations"] < n_rows
+    assert demo.iterations == 1 and demo.converged
+    assert counts["rows"] == [n_rows, n_rows]
     assert counts["segments"] == 0
 
 

@@ -499,6 +499,35 @@ def no_solve(*args, **kwargs):
     raise AssertionError("a solve ran")
 
 
+README_CAL_CFG = {"target": {"kind": "state", "name": "flip"},
+                  "template": {"type": "single-pulse", "delta": 0.25},
+                  "bounds": [[16.0, 64.0], [5.0, 40.0]], "seed": [25.0, 20.0], "budget": 400}
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"bounds": [[64.0, 16.0], [5.0, 40.0]]}, "bounds[0]"),
+    ({"bounds": [[16.0, 64.0], [5.0, math.inf]]}, "bounds[1]"),
+    ({"seed": [250.0, 20.0]}, "seed[0]"),
+    ({"tol": -1.0}, "tol"),
+    ({"tol": math.nan}, "tol"),
+    ({"budget": -5}, "budget"),
+], ids=["reversed-bounds", "infinite-bound", "seed-outside", "negative-tol", "nan-tol",
+        "negative-budget"])
+def test_bad_calibration_numbers_exit_2_and_are_named(tmp_path, capsys, recwarn, change, field):
+    rc, out = run(tmp_path, "calibrate", dict(README_CAL_CFG, **change), name="numbers.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, field)
+    assert not (out / "manifest.json").exists()
+
+
+def test_benchmark_warm_up_calibration_exits_0_within_its_budget(tmp_path):
+    cfg = dict(README_CAL_CFG, bounds=[[100.0, 400.0], [0.005, 0.04]], seed=[157.0, 0.02],
+               budget=60)
+    rc, out = run(tmp_path, "calibrate", cfg, name="warm.json")
+    assert rc == 0
+    assert json.loads((out / "calibration.json").read_text())["iterations"] <= 60
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
 def test_bad_energy_scale_exits_2_before_the_solve(tmp_path, capsys, recwarn, monkeypatch,
                                                     value):

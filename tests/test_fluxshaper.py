@@ -246,6 +246,7 @@ def test_calibrated_pi_area_pulse_flips_single_qubit(default_run):
         ("state", np.array([0.0, 1.0], dtype=complex)), template,
         bounds=[(0.5 * seed, 1.5 * seed)], seed=[seed], tol=1e-3)
     assert result.fidelity >= 0.99
+    assert result.iterations <= 40  # 26 of them the seed and the coarse scan
 
 
 def test_target_state_names():

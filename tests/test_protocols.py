@@ -144,6 +144,7 @@ def test_calibrate_pi_pulse_from_cold_start():
         seed=[0.8 * a0, 1.3 * np.pi / a0])
     assert result.converged
     assert 1.0 - result.fidelity <= 1e-4
+    assert result.iterations <= 80  # 51 of them the seed and the coarse scans
     # reported fidelity must reproduce from the rounded parameters
     from picopulse.dynamics import evolve_unitary
     u = evolve_unitary(template(result.params))
@@ -162,26 +163,128 @@ def test_calibrate_unitary_target():
                                        bounds=[(5.0, 60.0)], seed=[10.0])
     assert result.converged
     assert result.params[0] == pytest.approx(25.0, abs=1e-3)
+    assert result.iterations <= 40  # 26 of them the seed and the coarse scan
 
 
-def test_calibrate_respects_budget():
+def test_calibrate_respects_budget(monkeypatch):
+    """No more propagations than the budget, coarse-scan points included, and
+    ``iterations`` counts them all; the rounded-parameter check comes on top."""
     target = ("state", np.array([0.0, 1.0], dtype=complex))
+    eigh, schedules = np.linalg.eigh, []
+
+    def counting_eigh(a, *args, **kwargs):
+        if np.ndim(a) >= 3:  # a stack of one-segment schedules, not the search's own Hessian
+            schedules.append(int(np.prod(np.shape(a)[:-3])))
+        return eigh(a, *args, **kwargs)
 
     def template(p):
-        return protocols.single_pulse_schedule(p[0], 0.02, DELTA)
+        return protocols.single_pulse_schedule(p[0], p[1], DELTA)
 
-    result = protocols.calibrate_pulse(target, template, bounds=[(1.0, 300.0)],
-                                       seed=[1.0], budget=10)
-    assert result.iterations <= 11  # seed evaluation plus the budget
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for budget in (0, 1, 2, 10, 25, 26, 27, 28, 30, 52, 60):
+        schedules.clear()
+        result = protocols.calibrate_pulse(target, template, bounds=[(1.0, 300.0), (0.01, 0.1)],
+                                           seed=[1.0, 0.02], budget=budget)
+        assert result.iterations <= budget
+        assert sum(schedules) == result.iterations + 1
+
+
+def test_seed_that_meets_the_stop_rule_is_returned_after_one_evaluation():
+    a = 100 * DELTA
+    seed = [a, np.pi / np.hypot(a, DELTA)]  # a pi rotation: 1 - F = 1e-4 * (1 - 1e-4)
+
+    def template(p):
+        return protocols.single_pulse_schedule(p[0], p[1], DELTA)
+
+    result = protocols.calibrate_pulse(("state", np.array([0.0, 1.0], dtype=complex)),
+                                       template, bounds=[(0.5 * a, 2 * a), (0.005, 0.05)],
+                                       seed=seed, tol=1e-3)
+    assert result.iterations == 1
+    assert list(result.params) == [float(f"{p:.12g}") for p in seed]
+    assert result.converged and 1.0 - result.fidelity <= 1e-4
+
+
+def register_template(p):
+    # drive amplitudes on both qubits, and the second pulse's duration
+    return protocols.register_pair_schedule(DELTA, 1.3 * DELTA, 0.4, p[0], p[1], 0.02, p[2],
+                                            0.1, tail=0.05)
+
+
+def three_stage_template(p):
+    # one amplitude drives both qubits; the kick duration sets two segments
+    return protocols.three_stage_schedule(p[0], 0.05, 2.0, p[1], p[1], DELTA)
+
+
+GOAL4 = np.array([0.1, 0.3j, 0.5, -0.2 + 0.6j])
+GOAL4 /= np.linalg.norm(GOAL4)
+
+
+def random_unitary(d, seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("target,template,bounds,p", [
+    (("state", np.array([0.6, 0.8j])), lambda p: protocols.single_pulse_schedule(
+        p[0], p[1], DELTA), [(10.0, 300.0), (0.01, 0.1)], [120.0, 0.02]),
+    (("unitary", random_unitary(2, 1)), lambda p: protocols.single_pulse_schedule(
+        p[0], p[1], DELTA), [(10.0, 300.0), (0.01, 0.1)], [20.0, 0.05]),
+    (("state", GOAL4), register_template, [(10.0, 300.0)] * 2 + [(0.01, 0.1)],
+     [100.0, 150.0, 0.03]),
+    (("unitary", random_unitary(4, 2)), register_template,
+     [(10.0, 300.0)] * 2 + [(0.01, 0.1)], [100.0, 150.0, 0.03]),
+    # at the upper bounds the template is differenced toward the interior
+    (("unitary", random_unitary(4, 3)), register_template,
+     [(10.0, 300.0)] * 2 + [(0.01, 0.1)], [300.0, 150.0, 0.1]),
+    (("state", GOAL4), three_stage_template, [(0.01, 0.2), (5.0, 80.0)], [0.07, 30.0]),
+], ids=["state-2", "unitary-2", "state-4", "unitary-4", "unitary-4-at-bounds", "three-stage"])
+def test_adjoint_gradient_matches_central_differences(target, template, bounds, p):
+    objective = protocols._Infidelity(target, template)
+    lo, hi = np.array(bounds).T
+    p = np.array(p)
+    value, gradient = objective.at(p, lo, hi)
+    assert value == pytest.approx(objective.values([p])[0], abs=1e-14)
+    numeric = []
+    for i in range(len(p)):
+        h = np.zeros(len(p))
+        h[i] = 1e-6 * (hi[i] - lo[i])
+        numeric.append((objective.values([p + h])[0] - objective.values([p - h])[0])
+                       / (2 * h[i]))
+    assert np.all(np.abs(numeric) > 1e-5)  # every parameter moves the fidelity
+    assert np.allclose(gradient(), numeric, rtol=1e-6, atol=0.0)
 
 
 def test_calibrate_input_validation():
     target = ("state", np.array([0.0, 1.0], dtype=complex))
+
+    def template(p):
+        return protocols.single_pulse_schedule(p[0], p[1], DELTA)
+
     with pytest.raises(ValueError):
         protocols.calibrate_pulse(("density", np.eye(2)), lambda p: None,
                                   [(0, 1)], [0.5])
     with pytest.raises(ValueError):
         protocols.calibrate_pulse(target, lambda p: None, [(0, 1)], [0.5, 0.5])
+    bounds, seed = [(100.0, 400.0), (0.005, 0.04)], [157.0, 0.02]
+    for kwargs, field in [
+        (dict(bounds=[(400.0, 100.0), (0.005, 0.04)]), r"bounds\[0\]"),
+        (dict(bounds=[(100.0, 400.0), (0.005, 0.005)]), r"bounds\[1\]"),
+        (dict(bounds=[(100.0, np.inf), (0.005, 0.04)]), r"bounds\[0\]"),
+        (dict(seed=[1570.0, 0.02]), r"seed\[0\]"),
+        (dict(seed=[157.0, np.nan]), r"seed\[1\]"),
+        (dict(tol=-1.0), "tol"), (dict(tol=np.nan), "tol"), (dict(tol=0.0), "tol"),
+        (dict(budget=-5), "budget"), (dict(budget=2.5), "budget"),
+        (dict(budget=np.inf), "budget"),
+    ]:
+        args = dict(dict(bounds=bounds, seed=seed), **kwargs)
+        with pytest.raises(ValueError, match=field):
+            protocols.calibrate_pulse(target, template, **args)
+    with pytest.raises(ValueError, match="dimension"):
+        protocols.calibrate_pulse(("state", np.eye(4)[3]), template, bounds, seed)
+    with pytest.raises(ValueError, match="layout"):  # a tail segment appears above 200
+        protocols.calibrate_pulse(target, lambda p: protocols.single_pulse_schedule(
+            p[0], p[1], DELTA, tail=max(p[0] - 200.0, 0.0)), bounds, seed)
 
 
 @pytest.mark.parametrize("tau_r", [-1.0, np.nan, np.inf])

@@ -1,5 +1,8 @@
-"""Each JSON example in README's "Command-line tool" section runs as documented."""
+"""README's examples run as documented: each JSON example of the "Command-line
+tool" section, and the Python blocks of the "Quick start (library)" section."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -60,3 +63,30 @@ def test_readme_lindblad_scan_loads_no_scipy(tmp_path):
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 []"
     assert (tmp_path / "out" / "lindblad.csv").exists()
+
+
+def library_blocks() -> list[str]:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Quick start (library)\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def test_readme_library_examples_print_what_they_claim():
+    """The blocks run in order in one namespace; each prints fidelities >= 0.99
+    first on its lines, and every convergence flag it prints is True."""
+    blocks = library_blocks()
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            exec(compile(block, str(README), "exec"), namespace)
+        lines = printed.getvalue().split("\n")[:-1]
+        assert lines
+        for line in lines:
+            tokens = line.split()
+            assert float(tokens[0]) >= 0.99
+            assert "False" not in tokens
+        # the calibration and demo results it made converged, printed or not
+        assert all(value.converged for value in namespace.values()
+                   if hasattr(value, "converged"))
