@@ -356,12 +356,13 @@ def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
     return written
 
 
-def cmd_demo(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
+def cmd_demo(config: dict, out: Path, conv: UnitConvention) -> tuple[list[Path], dict]:
     cfg = _read(config, _DEMO, conv)
     name = cfg["target"]
     if name not in ("inversion", "entangled"):
         raise ConfigError(f"unknown demo target {name!r}")
-    result = fluxshaper.end_to_end_demo(name, delta=cfg["delta"], j=cfg["j"])
+    ljj = fluxshaper.LJJConfig()
+    result = fluxshaper.end_to_end_demo(name, delta=cfg["delta"], j=cfg["j"], ljj=ljj)
     written = [_write_json(out / "demo.json", _calibration_json(result, target=name))]
 
     traj = result.trajectory
@@ -371,7 +372,10 @@ def cmd_demo(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
                ["t", "p_dd", "p_ud", "p_du", "p_uu"],
                np.column_stack([traj.times, pops]))
     written.append(tpath)
-    return written
+    meta = result.waveform.meta  # fluxon health: manifest only, never the hashed outputs
+    health = {"velocity": meta["velocity"], "charge_drift": meta["charge_drift"],
+              "power_balance_velocity": fluxshaper.power_balance_velocity(ljj.i_b, ljj.alpha)}
+    return written, {"health": health}
 
 
 # ---------------------------------------------------------------------------

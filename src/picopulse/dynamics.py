@@ -18,8 +18,9 @@ sweep's rows do, and evolves a sample in its segment's eigenbasis, so it
 builds no per-sample propagator; :func:`evolve_state` and
 ``protocols.populations_at`` are its batch-of-one case.  One classic RK4 step,
 :func:`rk4_step`, drives an explicit stepper kept as an independent
-cross-check (deliberately without renormalization) and a cosine-driven
-lab-frame integrator for the one genuinely time-dependent case.  Open-system
+cross-check (deliberately without renormalization), a cosine-driven
+lab-frame integrator for the one genuinely time-dependent case and the
+amplitude stage's scalar phases in ``fluxshaper``.  Open-system
 evolution integrates the master equation
 
     drho/dt = i[rho, H(t)] + gamma (s- rho s+ - 1/2 {s+ s-, rho})

@@ -221,8 +221,7 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
 
     times, frames, rates, positions = [], [], [], []
     exited = False
-    damp_plus = 1.0 + 0.5 * alpha_x * dt
-    damp_minus = 1.0 - 0.5 * alpha_x * dt
+    damp_plus, damp_minus = 1.0 + 0.5 * alpha_x * dt, 1.0 - 0.5 * alpha_x * dt
     dx2, dt2 = dx**2, dt**2
     lap, force, phi_next, tmp = (np.empty(n) for _ in range(4))
     inner = lap[1:-1]
@@ -231,13 +230,13 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
     while step < nsteps:  # nsteps shrinks once the fluxon has exited
         # in place, in this order: lap = phi_xx, force = lap - sin(phi) + i_b,
         # phi_next = (2 phi - damp_minus phi_prev + dt^2 force) / damp_plus
-        np.subtract(phi[2:], np.multiply(2.0, phi[1:-1], out=inner), out=inner)
+        np.multiply(2.0, phi, out=phi_next)  # 2 phi, exact: shared by lap and the update
+        np.subtract(phi[2:], phi_next[1:-1], out=inner)
         np.divide(np.add(inner, phi[:-2], out=inner), dx2, out=inner)
         lap[0] = 2.0 * (phi[1] - phi[0]) / dx2
         lap[-1] = 2.0 * (phi[-2] - phi[-1]) / dx2
         np.add(np.subtract(lap, np.sin(phi, out=force), out=force), cfg.i_b, out=force)
-        np.subtract(np.multiply(2.0, phi, out=phi_next),
-                    np.multiply(damp_minus, phi_prev, out=tmp), out=phi_next)
+        np.subtract(phi_next, np.multiply(damp_minus, phi_prev, out=tmp), out=phi_next)
         np.add(phi_next, np.multiply(dt2, force, out=tmp), out=phi_next)
         np.divide(phi_next, damp_plus, out=phi_next)
 
@@ -263,27 +262,21 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
             f"fluxon did not reach x = {exit_x:.1f} within t = {cfg.time_budget:.0f} "
             f"(i_b = {cfg.i_b})")
 
-    times = np.array(times)
-    frames_arr = np.array(frames)
-    positions = np.array(positions)
+    times, frames_arr, positions = np.array(times), np.array(frames), np.array(positions)
     # topological charge from endpoint phases, smoothed over one plasma period
     # to remove the (physical, non-topological) boundary plasma ringing
     charge = (frames_arr[:, 0] - frames_arr[:, -1]) / (2.0 * math.pi)
-    frame_dt = stride * dt
-    win = max(1, int(round(2.0 * math.pi / frame_dt)))
+    win = max(1, int(round(2.0 * math.pi / (stride * dt))))  # frames per plasma period
     if len(charge) >= win:
-        kernel = np.ones(win) / win
-        smooth = np.convolve(charge, kernel, mode="valid")
+        smooth = np.convolve(charge, np.ones(win) / win, mode="valid")
         in_domain = positions[win - 1:] < exit_x  # nan once exited
         charge_drift = float(np.max(np.abs(smooth[in_domain] - 1.0))) \
             if np.any(in_domain) else float(np.max(np.abs(smooth - 1.0)))
     else:
         charge_drift = float(np.max(np.abs(charge - 1.0)))
-    velocity = math.nan
     window = (positions > cfg.kink_position + 4.0) & (positions < exit_x - 1.0)  # nan: False
-    if np.count_nonzero(window) >= 3:
-        coeff = np.polyfit(times[window], positions[window], 1)
-        velocity = float(coeff[0])
+    velocity = (float(np.polyfit(times[window], positions[window], 1)[0])
+                if np.count_nonzero(window) >= 3 else math.nan)
     return LJJResult(times=times, phases=frames_arr, phase_rates=np.array(rates),
                      positions=positions, x=x, velocity=velocity,
                      charge_drift=charge_drift, exited=exited)
@@ -336,27 +329,34 @@ def plateau_duration(wave: Waveform, level: float = 0.5) -> float:
 
 
 def simulate_amplitude_stage(wave: Waveform, cfg: InterferometerConfig) -> Waveform:
-    """Drive the twin interferometers with the loop flux; return the output current."""
+    """Drive the twin interferometers with the loop flux; return the output current.
+
+    Each phase is a Python float stepped by ``dynamics.rk4_step`` with ``math.sin``."""
     phi_ext = (0.25 * wave.samples).tolist()  # Python floats: cheaper than numpy scalars per substep
     nsub = max(1, int(math.ceil(wave.dt / (0.02 * cfg.alpha_j))))
-    h = wave.dt / nsub
-    ic = np.array([1.0, cfg.ic1])
-    phase = np.zeros(2)
-    out = np.empty(len(wave.samples))
+    h, inductance, alpha_j, step = wave.dt / nsub, cfg.inductance, cfg.alpha_j, dynamics.rk4_step
+    p0 = p1 = 0.0
+    diffs = []  # p1 - p0 at the start of each sample
 
-    def rhs(frac, p):  # the drive is linear from ext0 to ext1 over the substeps s of sample i
-        ext = ext0 + (ext1 - ext0) * ((s + frac) / nsub)
-        return (-ic * np.sin(p) - (p - ext) / cfg.inductance) / cfg.alpha_j
+    def rhs(ic):  # the drive is linear from ext0 to ext1 over the substeps s of sample i
+        def f(frac, p):
+            ext = ext0 + (ext1 - ext0) * ((s + frac) / nsub)
+            return (-ic * math.sin(p) - (p - ext) / inductance) / alpha_j
+        return f
 
-    for i in range(len(wave.samples)):
-        out[i] = (phase[1] - phase[0]) / cfg.inductance
-        ext0 = phi_ext[i]
-        ext1 = phi_ext[min(i + 1, len(phi_ext) - 1)]
-        for s in range(nsub):
-            phase = dynamics.rk4_step(rhs, phase, h)
-        if not np.all(np.isfinite(phase)):
-            raise RuntimeError(f"amplitude stage diverged at sample {i}")
-    return Waveform(dt=wave.dt, samples=out,
+    rhs0, rhs1 = rhs(1.0), rhs(cfg.ic1)
+    try:
+        for i in range(len(phi_ext)):
+            diffs.append(p1 - p0)
+            ext0, ext1 = phi_ext[i], phi_ext[min(i + 1, len(phi_ext) - 1)]
+            for s in range(nsub):
+                p0 = step(rhs0, p0, h)
+                p1 = step(rhs1, p1, h)
+            if not (math.isfinite(p0) and math.isfinite(p1)):  # a nan: math.sin(nan) does not raise
+                raise RuntimeError(f"amplitude stage diverged at sample {i}")
+    except ValueError:  # math.sin(inf) raises: a phase overflowed during sample i
+        raise RuntimeError(f"amplitude stage diverged at sample {i}") from None
+    return Waveform(dt=wave.dt, samples=np.array(diffs) / inductance,
                     meta={"stage": "amplitude", "config": _config_hash(cfg),
                           "input": wave.meta.get("config", "")})
 

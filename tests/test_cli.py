@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,30 @@ def test_demo_command(tmp_path):
     rows = load_csv(out / "trajectory.csv")
     assert rows.shape[1] == 5
     assert np.allclose(rows[:, 1:].sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_diverging_amplitude_stage_exits_3_without_warnings(tmp_path, capsys):
+    cfg = {"ljj": {"i_b": 0.2}, "amp": {"ic1": 0.7, "inductance": 1e-5}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _ = run(tmp_path, "shape", cfg, name="diverge.json")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "numeric failure: amplitude stage diverged at sample 13\n"
+
+
+@pytest.mark.slow
+def test_demo_manifest_reports_fluxon_health(tmp_path):
+    rc, out = run(tmp_path, "demo", {"target": "inversion", "delta": 0.25, "j": 0.05},
+                  name="demo_health.json")
+    assert rc == 0
+    health = json.loads((out / "manifest.json").read_text())["health"]
+    assert health["power_balance_velocity"] == power_balance_velocity(0.2, 0.05)
+    assert health["velocity"] == pytest.approx(health["power_balance_velocity"], rel=0.05)
+    assert 0 <= health["charge_drift"] < 1e-2
+    # health stays out of the hashed outputs
+    assert "velocity" not in (out / "demo.json").read_text()
+    assert "health" not in (out / "demo.json").read_text()
 
 
 def test_shape_summary_reports_fluxon_health(tmp_path):

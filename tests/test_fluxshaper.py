@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -348,7 +349,88 @@ def test_amplitude_stage_takes_its_steps_with_rk4_step(monkeypatch):
     wave = fs.Waveform(dt=0.3, samples=np.linspace(0.0, 1.0, 5))
     cfg = fs.InterferometerConfig()
     fs.simulate_amplitude_stage(wave, cfg)
-    assert len(calls) == 5 * math.ceil(0.3 / (0.02 * cfg.alpha_j))
+    assert len(calls) == 2 * 5 * math.ceil(0.3 / (0.02 * cfg.alpha_j))  # one per phase
+
+
+def test_amplitude_stage_divergence_names_its_sample(default_loop):
+    # the phases overflow, so math.sin meets inf; no ValueError or warning may escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="amplitude stage diverged at sample 13$"):
+            fs.simulate_amplitude_stage(default_loop, fs.InterferometerConfig(inductance=1e-5))
+
+
+def test_amplitude_stage_detects_a_nan_phase(monkeypatch, default_loop):
+    sin = math.sin
+    calls = []
+
+    def sin_nan_after_sample_3(p):  # 4 calls per RK4 step, 2 phases per substep
+        calls.append(p)
+        return math.nan if len(calls) > 3 * 8 * nsub else sin(p)
+
+    nsub = math.ceil(default_loop.dt / (0.02 * fs.InterferometerConfig().alpha_j))
+    monkeypatch.setattr(fs.math, "sin", sin_nan_after_sample_3)
+    with pytest.raises(RuntimeError, match="amplitude stage diverged at sample 3$"):
+        fs.simulate_amplitude_stage(default_loop, fs.InterferometerConfig())
+
+
+def _reference_ljj(cfg):
+    """Reference: the leapfrog step loop in its original order of operations, with
+    2 phi formed twice; returns (phases, phase_rates, positions)."""
+    dx, dt = cfg.dx, cfg.step
+    n = int(round(cfg.length / dx)) + 1
+    x = np.linspace(0.0, cfg.length, n)
+    offset = math.asin(cfg.i_b)
+    u0 = cfg.launch_velocity
+    phi = fs._kink_profile(x, cfg.kink_position, u0, 0.0, offset)
+    phi_prev = fs._kink_profile(x, cfg.kink_position, u0, -dt, offset)
+    alpha_x = np.full(n, cfg.alpha)
+    if cfg.absorber_width > 0:
+        ramp = np.clip((x - (cfg.length - cfg.absorber_width)) / cfg.absorber_width, 0.0, 1.0)
+        alpha_x = alpha_x + cfg.absorber_alpha * ramp**2
+    nsteps = int(math.ceil(cfg.time_budget / dt))
+    stride = max(1, nsteps // 2000)
+    exit_x = cfg.length - cfg.absorber_width - 2.0
+    level = math.pi + offset
+    frames, rates, positions = [], [], []
+    exited = False
+    damp_plus = 1.0 + 0.5 * alpha_x * dt
+    damp_minus = 1.0 - 0.5 * alpha_x * dt
+    dx2, dt2 = dx**2, dt**2
+    lap, force, phi_next, tmp = (np.empty(n) for _ in range(4))
+    inner = lap[1:-1]
+    step = 0
+    while step < nsteps:
+        np.subtract(phi[2:], np.multiply(2.0, phi[1:-1], out=inner), out=inner)
+        np.divide(np.add(inner, phi[:-2], out=inner), dx2, out=inner)
+        lap[0] = 2.0 * (phi[1] - phi[0]) / dx2
+        lap[-1] = 2.0 * (phi[-2] - phi[-1]) / dx2
+        np.add(np.subtract(lap, np.sin(phi, out=force), out=force), cfg.i_b, out=force)
+        np.subtract(np.multiply(2.0, phi, out=phi_next),
+                    np.multiply(damp_minus, phi_prev, out=tmp), out=phi_next)
+        np.add(phi_next, np.multiply(dt2, force, out=tmp), out=phi_next)
+        np.divide(phi_next, damp_plus, out=phi_next)
+        if step % stride == 0:
+            pos = fs._fluxon_position(x, phi, level)
+            frames.append(phi.copy())
+            rates.append((phi_next - phi_prev) / (2.0 * dt))
+            positions.append(pos)
+            if not exited and (math.isnan(pos) or pos >= exit_x):
+                exited = True
+                nsteps = min(nsteps, step + int(10.0 / dt))
+        phi_prev, phi, phi_next = phi, phi_next, phi_prev
+        step += 1
+    return np.array(frames), np.array(rates), np.array(positions)
+
+
+@pytest.mark.parametrize("cfg", [fs.LJJConfig(), fs.LJJConfig(i_b=0.5, absorber_width=0.0)],
+                         ids=["default", "strong-bias-no-absorber"])
+def test_ljj_leapfrog_matches_the_original_step_bit_for_bit(cfg):
+    result = fs.simulate_ljj_fluxon(cfg)
+    phases, rates, positions = _reference_ljj(cfg)
+    assert result.phases.tobytes() == phases.tobytes()
+    assert result.phase_rates.tobytes() == rates.tobytes()
+    assert result.positions.tobytes() == positions.tobytes()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
