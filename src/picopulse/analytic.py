@@ -162,15 +162,28 @@ def ramsey_probability_unipolar(pair: PulsePair, delta: float) -> float:
     if pair.tau1 != pair.tau2:
         raise ValueError("closed form requires equal pulse durations; "
                          "use compose_pulse_sequence for unequal pulses")
-    a = pair.amplitude
-    tau = pair.tau1
-    omega = math.hypot(delta, a)
+    return float(_ramsey_unipolar(pair.amplitude, pair.tau1, pair.tau_r, delta))
+
+
+def ramsey_probabilities_unipolar(amplitude: float, tau: float, tau_r_values,
+                                  delta: float) -> np.ndarray:
+    """:func:`ramsey_probability_unipolar` at every delay of ``tau_r_values``, for two
+    pulses of duration ``tau``, as one array expression."""
+    tau_r = np.asarray(tau_r_values, dtype=float)
+    if tau < 0 or np.any(tau_r < 0):
+        raise ValueError("all durations must be >= 0")
+    return _ramsey_unipolar(amplitude, tau, tau_r, delta)
+
+
+def _ramsey_unipolar(amplitude, tau, tau_r, delta):
+    # the one copy of the formula: tau_r is a float or an array of delays >= 0
+    omega = math.hypot(delta, amplitude)
     if omega == 0.0:
-        return 0.0
+        return np.zeros_like(tau_r)
     half = 0.5 * omega * tau
-    fr = 0.5 * delta * pair.tau_r
-    bracket = math.cos(half) * math.cos(fr) - (delta / omega) * math.sin(fr) * math.sin(half)
-    return 4.0 * (a / omega) ** 2 * math.sin(half) ** 2 * bracket**2
+    fr = 0.5 * delta * tau_r
+    bracket = math.cos(half) * np.cos(fr) - (delta / omega) * np.sin(fr) * math.sin(half)
+    return 4.0 * (amplitude / omega) ** 2 * math.sin(half) ** 2 * bracket**2
 
 
 def compose_pulse_sequence(elements, delta: float) -> np.ndarray:

@@ -178,8 +178,8 @@ def _write_csv(path: Path, comments: list[str], header: list[str],
                rows) -> None:
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    for row in np.asarray(rows, dtype=float).tolist():
+        lines.append(",".join(map(repr, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -210,9 +210,7 @@ def _grid_outputs(grids, names, out: Path, meta_extra: dict) -> list[Path]:
         comments = [f"{k} = {v}" for k, v in sorted({**grid.meta, **meta_extra}.items())]
         comments.insert(0, f"axis1 = {grid.axis1.name}; axis2 = {grid.axis2.name}")
         header = [grid.axis1.name] + [repr(float(v)) for v in grid.axis2.values()]
-        rows = [[a1] + list(row)
-                for a1, row in zip(grid.axis1.values(), grid.values)]
-        _write_csv(path, comments, header, rows)
+        _write_csv(path, comments, header, np.column_stack([grid.axis1.values(), grid.values]))
         written.append(path)
     return written
 

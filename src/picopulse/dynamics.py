@@ -125,14 +125,23 @@ class Schedule:
     def total_duration(self) -> float:
         return sum(self._durations.tolist())
 
-    def hamiltonians(self) -> np.ndarray:
-        """All segment Hamiltonians as one ``(n_seg, d, d)`` stack."""
+    def hamiltonians(self, controls=None) -> np.ndarray:
+        """All segment Hamiltonians as one ``(n_seg, d, d)`` stack.
+
+        Given ``controls (..., n_seg, 3)``, the Hamiltonians ``(..., n_seg, d, d)``
+        of this schedule's qubit gaps with those control rows in place of its own,
+        from one core call: a whole sweep's stack from one template.
+        """
+        controls = self.controls if controls is None else np.asarray(controls, dtype=float)
+        if controls.shape[-2:] != self.controls.shape:
+            raise ValueError(f"control rows {controls.shape} do not match the schedule's "
+                             f"{self.controls.shape}")
         if self.dimension == 2:
-            coeffs = np.empty((len(self._durations), 2))
-            coeffs[:, 0], coeffs[:, 1] = self.delta1, self.controls[:, 0]
+            coeffs = np.empty(controls.shape[:-1] + (2,))
+            coeffs[..., 0], coeffs[..., 1] = self.delta1, controls[..., 0]
         else:
-            coeffs = np.empty((len(self._durations), 5))
-            coeffs[:, 0], coeffs[:, 1], coeffs[:, 2:] = self.delta1, self.delta2, self.controls
+            coeffs = np.empty(controls.shape[:-1] + (5,))
+            coeffs[..., 0], coeffs[..., 1], coeffs[..., 2:] = self.delta1, self.delta2, controls
         return hamiltonians(coeffs)
 
     def durations(self) -> np.ndarray:

@@ -185,14 +185,17 @@ def _kink_profile(x: np.ndarray, x0: float, u: float, t: float, offset: float) -
     return 4.0 * np.arctan(np.exp(-(x - x0 - u * t) / w)) + offset
 
 
-def _fluxon_position(x: np.ndarray, phi: np.ndarray, level: float) -> float:
-    below = np.nonzero(phi < level)[0]
-    if len(below) == 0 or below[0] == 0:
-        return math.nan
-    i = below[0]
-    f0, f1 = phi[i - 1], phi[i]
-    frac = (f0 - level) / (f0 - f1) if f0 != f1 else 0.0
-    return float(x[i - 1] + frac * (x[i] - x[i - 1]))
+def _fluxon_position(x: np.ndarray, phi: np.ndarray, level: float) -> np.ndarray:
+    """Where each frame of ``phi (..., n)`` first falls below ``level``, interpolated
+    linearly on ``x``; nan for a frame that never does or starts below it."""
+    i = np.argmax(phi < level, axis=-1)  # 0 if no point is below, or the first one is
+    found = i > 0
+    i = np.maximum(i, 1)
+    f0 = np.take_along_axis(phi, (i - 1)[..., None], -1)[..., 0]
+    f1 = np.take_along_axis(phi, i[..., None], -1)[..., 0]
+    # where found, f0 >= level > f1, so the division is safe
+    frac = np.divide(f0 - level, f0 - f1, out=np.zeros_like(f0), where=found)
+    return np.where(found, x[i - 1] + frac * (x[i] - x[i - 1]), math.nan)
 
 
 def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
@@ -219,7 +222,9 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
     exit_x = cfg.length - cfg.absorber_width - 2.0
     level = 2.0 * math.pi / 2.0 + offset  # mid-kink phase level
 
-    times, frames, rates, positions = [], [], [], []
+    # each saved frame and its phi_next - phi_prev, as rows; untouched rows cost no memory
+    frames, rates = np.empty((2, -(-nsteps // stride), n))
+    count = 0
     exited = False
     damp_plus, damp_minus = 1.0 + 0.5 * alpha_x * dt, 1.0 - 0.5 * alpha_x * dt
     dx2, dt2 = dx**2, dt**2
@@ -241,17 +246,19 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
         np.divide(phi_next, damp_plus, out=phi_next)
 
         if step % stride == 0:
-            if not np.all(np.isfinite(phi_next)):
+            if not np.isfinite(phi_next).all():
                 raise RuntimeError("sine-Gordon integration diverged")
-            pos = _fluxon_position(x, phi, level)
-            times.append(step * dt)
-            frames.append(phi.copy())
-            rates.append((phi_next - phi_prev) / (2.0 * dt))
-            positions.append(pos)
-            if not exited and (math.isnan(pos) or pos >= exit_x):
-                exited = True
-                # keep integrating a little so the tap waveform settles
-                nsteps = min(nsteps, step + int(10.0 / dt))
+            frames[count] = phi
+            np.subtract(phi_next, phi_prev, out=rates[count])
+            count += 1
+            if not exited:
+                # no crossing (i = 0) is an exit; a crossing lies in (x[i-1], x[i]],
+                # so only one that reaches exit_x needs its interpolated position
+                i = int(np.argmax(phi < level))
+                if i == 0 or (x[i] >= exit_x and _fluxon_position(x, phi, level) >= exit_x):
+                    exited = True
+                    # keep integrating a little so the tap waveform settles
+                    nsteps = min(nsteps, step + int(10.0 / dt))
         phi_prev, phi, phi_next = phi, phi_next, phi_prev
         step += 1
     if not np.all(np.isfinite(phi)):
@@ -262,10 +269,13 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
             f"fluxon did not reach x = {exit_x:.1f} within t = {cfg.time_budget:.0f} "
             f"(i_b = {cfg.i_b})")
 
-    times, frames_arr, positions = np.array(times), np.array(frames), np.array(positions)
+    frames, rates = frames[:count], rates[:count]
+    rates /= 2.0 * dt
+    times = (stride * np.arange(count)) * dt
+    positions = _fluxon_position(x, frames, level)
     # topological charge from endpoint phases, smoothed over one plasma period
     # to remove the (physical, non-topological) boundary plasma ringing
-    charge = (frames_arr[:, 0] - frames_arr[:, -1]) / (2.0 * math.pi)
+    charge = (frames[:, 0] - frames[:, -1]) / (2.0 * math.pi)
     win = max(1, int(round(2.0 * math.pi / (stride * dt))))  # frames per plasma period
     if len(charge) >= win:
         smooth = np.convolve(charge, np.ones(win) / win, mode="valid")
@@ -277,7 +287,7 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
     window = (positions > cfg.kink_position + 4.0) & (positions < exit_x - 1.0)  # nan: False
     velocity = (float(np.polyfit(times[window], positions[window], 1)[0])
                 if np.count_nonzero(window) >= 3 else math.nan)
-    return LJJResult(times=times, phases=frames_arr, phase_rates=np.array(rates),
+    return LJJResult(times=times, phases=frames, phase_rates=rates,
                      positions=positions, x=x, velocity=velocity,
                      charge_drift=charge_drift, exited=exited)
 

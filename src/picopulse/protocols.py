@@ -2,13 +2,16 @@
 and pulse calibration by a quasi-Newton search on exact adjoint gradients.
 
 Sweep axes are dimensionless by default (pulse areas and amplitudes in rad/ns
-against times in ns); the CLI layer applies unit conversions.  A sampled
-sweep makes one :mod:`picopulse.dynamics` core call for the whole grid: its
-rows' schedules share their segment durations, so their Hamiltonians are
-stacked and sampled at every axis2 time together.  A three-stage sweep makes
-one call per axis1 value, which batches one segment's length over the axis2
-values, as each delay scan batches all its delays.  Every cell equals an
-independent propagation, which the test-suite checks.
+against times in ns); the CLI layer applies unit conversions.  Every sweep builds
+its Hamiltonian stack from one template, in one core call: a builder's
+controls are affine in the axis1 value and its durations do not depend on it,
+so two schedules, at 0 and 1, give every row's controls, and no schedule is
+built per axis1 value.  A sampled sweep then samples all rows at every axis2
+time in one :mod:`picopulse.dynamics` call.  A three-stage sweep samples the
+kicked ground state along every amplitude's drive segment at each tau2 and
+kicks it again, and each delay scan batches all its delays; the Ramsey scan's
+closed-form column is one array expression.  Every cell equals an independent
+propagation, which the test-suite checks.
 """
 
 from __future__ import annotations
@@ -157,21 +160,31 @@ def _grid(spec: SweepSpec, values: np.ndarray, **meta) -> SweepGrid:
                      meta={**spec.fixed, **meta})
 
 
+def _axis1_hamiltonians(build, values) -> tuple[Schedule, np.ndarray]:
+    """``build(0)`` and the Hamiltonians ``(len(values), n_seg, d, d)`` of ``build(v)`` for
+    every ``v`` of ``values``, from one core call.
+
+    Each builder's controls are affine in its axis1 value and its durations do
+    not depend on it, the GRAPE form ``H0 + v H1`` (Khaneja et al., J. Magn.
+    Reson. 172, 296 (2005)).  So the template ``c0 = build(0).controls`` with the
+    basis ``build(1).controls - c0`` gives ``c0 + v * basis``, which are
+    ``build(v)``'s controls bit for bit, and no schedule is built per value.
+    """
+    base = build(0.0)
+    c0 = base.controls
+    return base, base.hamiltonians(c0 + values[:, None, None] * (build(1.0).controls - c0))
+
+
 def _sampled_populations(spec: SweepSpec, schedule_of) -> np.ndarray:
     """Populations ``(axis1, axis2, d)`` at the axis2 times, in one core call.
 
     ``schedule_of(value, tail)`` builds an axis1 value's schedule; the tail
-    pads its pulses out to the last time.  The rows' Hamiltonians are stacked
-    and share the first row's durations, which no axis1 value changes.
+    pads its pulses out to the last time.
     """
     values, times = spec.axis1.values(), spec.axis2.values()
-    tail = max(float(times[-1]) - schedule_of(values[0], 0.0).total_duration, 0.0) + 1e-9
-    rows = [schedule_of(value, tail) for value in values]
-    durations = np.array([row.durations() for row in rows])
-    if np.any(durations != durations[0]):
-        raise ValueError("a sampled sweep's segment durations must not depend on axis1")
-    hams = np.array([row.hamiltonians() for row in rows])
-    pops = np.abs(sample_states(hams, durations[0], np.eye(rows[0].dimension)[0], times))
+    tail = max(float(times[-1]) - schedule_of(0.0, 0.0).total_duration, 0.0) + 1e-9
+    base, hams = _axis1_hamiltonians(lambda value: schedule_of(value, tail), values)
+    pops = np.abs(sample_states(hams, base.durations(), np.eye(base.dimension)[0], times))
     return np.square(pops, out=pops)  # in place: the grid is a sweep's largest array
 
 
@@ -180,13 +193,6 @@ def _scan_durations(schedule: Schedule, k: int, lengths) -> np.ndarray:
     durations = np.repeat(schedule.durations()[None], len(lengths), axis=0)
     durations[:, k] = lengths
     return durations
-
-
-def _final_populations(schedule: Schedule, k: int, lengths) -> np.ndarray:
-    """Populations ``(len(lengths), d)`` after ``schedule`` from the ground state,
-    with segment ``k`` lasting each of ``lengths``: one batched core call."""
-    return np.abs(evolve_unitaries(schedule.hamiltonians(),
-                                   _scan_durations(schedule, k, lengths))[:, :, 0]) ** 2
 
 
 def sweep_single_pulse(spec: SweepSpec) -> SweepGrid:
@@ -216,15 +222,18 @@ def sweep_coupler_pulse(spec: SweepSpec) -> SweepGrid:
 def sweep_three_stage(spec: SweepSpec) -> SweepGrid:
     """|dd> -> |uu> map of the kick/drive/kick protocol: axis1 = drive amplitude, axis2 = tau2.
 
-    One batched core call per amplitude covers every tau2; the row's schedule
-    is built at the first tau2, which validates the axis.
+    The template is built at the first tau2, which validates the axis.  The
+    kicks depend on neither axis, so the kicked ground state is sampled along
+    every amplitude's drive segment at each tau2, then kicked again.
     """
     f = spec.fixed
     tau2s = spec.axis2.values()
-    rows = [_final_populations(three_stage_schedule(f["tau1"], tau2s[0], f["j"], a, a,
-                                                    f["delta"]), 1, tau2s)[:, 3]
-            for a in spec.axis1.values()]
-    return _grid(spec, np.array(rows))
+    base, hams = _axis1_hamiltonians(
+        lambda a: three_stage_schedule(f["tau1"], tau2s[0], f["j"], a, a, f["delta"]),
+        spec.axis1.values())
+    kick = evolve_unitaries(hams[0, :1], base.durations()[:1])
+    driven = sample_states(hams[:, 1:2], tau2s[-1:], kick[:, 0], tau2s)
+    return _grid(spec, np.abs(driven @ kick[3]) ** 2)
 
 
 def sweep_register_pair(spec: SweepSpec) -> tuple[SweepGrid, SweepGrid, SweepGrid, SweepGrid]:
@@ -245,16 +254,15 @@ def ramsey_delay_scan(amplitude: float, delta: float, tau: float,
                       tau_r_values) -> np.ndarray:
     """Columns (tau_r, W_numeric, W_analytic) for equal-duration pulse pairs.
 
-    One batched core call covers every delay; a zero delay is a zero-length
-    free segment.
+    One batched core call covers every delay, and one array expression the
+    closed form; a zero delay is a zero-length free segment.
     """
     delays = np.asarray(tau_r_values, dtype=float)
     # the free segment's Hamiltonian does not depend on its length, which each delay sets
-    w_num = _final_populations(pulse_pair_schedule(amplitude, tau, tau, tau, delta),
-                               1, delays)[:, 1]
-    w_ana = [analytic.ramsey_probability_unipolar(
-        analytic.PulsePair(tau, tau, tau_r, amplitude), delta) for tau_r in delays]
-    return np.column_stack([delays, w_num, w_ana])
+    template = pulse_pair_schedule(amplitude, tau, tau, tau, delta)
+    finals = evolve_unitaries(template.hamiltonians(), _scan_durations(template, 1, delays))
+    w_ana = analytic.ramsey_probabilities_unipolar(amplitude, tau, delays, delta)
+    return np.column_stack([delays, np.abs(finals[:, 1, 0]) ** 2, w_ana])
 
 
 def lindblad_ramsey_finals(amplitude: float, delta: float, tau: float,

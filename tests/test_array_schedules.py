@@ -108,11 +108,26 @@ def test_validation_raises_the_errors_segments_raised(dim, rows):
             assert str(info.value) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(schedule_arrays(), st.lists(controls, min_size=1, max_size=3))
+def test_stacked_controls_give_each_rows_hamiltonians_bit_for_bit(arrays, scales):
+    """``hamiltonians(controls)`` over a stack equals each row's own schedule's stack."""
+    delta1, delta2, dim, durs, ctrl = arrays
+    stack = np.array([s * ctrl for s in scales])
+    rows = [Schedule.from_arrays(delta1, durs, c, delta2=delta2, dimension=dim)
+            for c in stack]
+    assert rows[0].hamiltonians(stack).tobytes() \
+        == np.array([r.hamiltonians() for r in rows]).reshape(len(rows), len(durs), dim,
+                                                             dim).tobytes()
+
+
 def test_array_shapes_are_checked():
     with pytest.raises(ValueError, match="shapes"):
         Schedule.from_arrays(1.0, [0.1, 0.2], [[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="shapes"):
         Schedule.from_arrays(1.0, [0.1, 0.2], [[1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ValueError, match="do not match"):
+        Schedule.from_arrays(1.0, [0.1], [[1.0, 0.0, 0.0]]).hamiltonians(np.zeros((4, 2, 3)))
 
 
 def test_schedule_arrays_are_read_only():

@@ -287,14 +287,21 @@ def test_ramsey_delay_scan_matches_per_delay_expm(amplitude, delta, tau, delays)
         assert abs(w - abs(u[1, 0]) ** 2) <= 1e-12
 
 
-def test_batched_scans_make_one_stacked_eigh_per_row(monkeypatch):
+THREE_STAGE_FIXED = {"delta": 1.5, "j": 0.7, "tau1": 0.05}
+
+
+def test_batched_scans_make_eigh_calls_independent_of_axis1(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(np.shape(h)) or eigh(h))
-    spec = SweepSpec(Axis("a", 1.0, 30.0, 5), Axis("tau2", 0.01, 0.3, 7),
-                     fixed={"delta": 1.5, "j": 0.7, "tau1": 0.05})
-    protocols.sweep_three_stage(spec)
-    assert len(calls) == spec.axis1.count
+    counts = []
+    for n in (5, 9):  # the kick once, then every amplitude's drive in one stack
+        calls.clear()
+        spec = SweepSpec(Axis("a", 1.0, 30.0, n), Axis("tau2", 0.01, 0.3, 7),
+                         fixed=THREE_STAGE_FIXED)
+        protocols.sweep_three_stage(spec)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
     calls.clear()
     protocols.ramsey_delay_scan(40.0, 1.5, 0.02, np.linspace(0.0, 8.0, 30))
     assert len(calls) == 1
@@ -304,6 +311,48 @@ def test_batched_scans_make_one_stacked_eigh_per_row(monkeypatch):
         runner(SweepSpec(Axis("a", 1.0, 30.0, 5), Axis("t", 0.0, 0.3, 7), fixed=fixed))
         sched = build(fixed, 1.0, 1.0)
         assert calls == [(5, len(sched.segments), sched.dimension, sched.dimension)]
+
+
+def test_sweeps_build_a_fixed_number_of_schedules(monkeypatch):
+    """No sweep builds a schedule per axis1 value: its Hamiltonians come from one template."""
+    built = []
+    init, from_arrays = Schedule.__init__, Schedule.from_arrays.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_from_arrays(cls, *args, **kwargs):
+        built.append(1)
+        return from_arrays(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Schedule, "__init__", counted_init)
+    monkeypatch.setattr(Schedule, "from_arrays", classmethod(counted_from_arrays))
+    runners = [(runner, {k: 0.05 if k.startswith("tau") else 1.5 for k in names})
+               for runner, names, _, _ in SAMPLED.values()]
+    runners.append((protocols.sweep_three_stage, THREE_STAGE_FIXED))
+    for runner, fixed in runners:
+        counts = []
+        for n in (3, 8):
+            built.clear()
+            runner(SweepSpec(Axis("a", 1.0, 30.0, n), Axis("t", 0.01, 0.3, 7), fixed=fixed))
+            counts.append(len(built))
+        assert counts[0] == counts[1], (runner.__name__, counts)
+
+
+def test_three_stage_sweep_builds_no_per_cell_propagators():
+    """The traced peak of a 40x60 three-stage sweep stays under 1 MB; a per-cell
+    (40, 60, 3, 4, 4) propagator stack alone would take 1.8 MB."""
+    spec = SweepSpec(Axis("a", 3.0, 125.0, 40), Axis("tau2", 0.005, 0.15, 60),
+                     fixed={"delta": 1.57, "j": 0.3, "tau1": 0.02})
+    protocols.sweep_three_stage(spec)  # first call imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        protocols.sweep_three_stage(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6, peak
 
 
 def test_sampled_sweeps_build_no_per_sample_propagators():

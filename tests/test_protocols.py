@@ -100,6 +100,14 @@ def test_ramsey_delay_scan_columns_agree():
     rows = protocols.ramsey_delay_scan(40.0, DELTA, 0.02, np.linspace(0.0, 8.0, 30))
     assert rows.shape == (30, 3)
     assert np.max(np.abs(rows[:, 1] - rows[:, 2])) < 1e-9
+    # the array closed form is the scalar one at every delay
+    for tau_r, w in zip(rows[:, 0], rows[:, 2]):
+        pair = PulsePair(0.02, 0.02, tau_r, 40.0)
+        assert abs(w - analytic.ramsey_probability_unipolar(pair, DELTA)) <= 1e-15
+    with pytest.raises(ValueError, match="segment durations must be finite and >= 0"):
+        protocols.ramsey_delay_scan(40.0, DELTA, 0.02, [0.0, -1.0])
+    with pytest.raises(ValueError, match="all durations must be >= 0"):
+        analytic.ramsey_probabilities_unipolar(40.0, 0.02, [0.0, -1.0], DELTA)
 
 
 def test_lindblad_scan_decays_toward_mixture():
