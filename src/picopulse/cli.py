@@ -262,14 +262,19 @@ def cmd_lindblad(config: dict, out: Path, conv: UnitConvention) -> tuple[list[Pa
     amplitude, delta, tau = cfg["amplitude"], cfg["delta"], cfg["tau"]
     lp = LindbladParams(gamma=cfg["gamma"], gamma_phi=cfg["gamma_phi"])
     finals = protocols.lindblad_ramsey_finals(amplitude, delta, tau, delays, lp)
+    w = finals[:, 1, 1].real
+    health = {"max_trace_defect": float(np.max(np.abs(np.trace(finals, axis1=1, axis2=2) - 1))),
+              "min_eigenvalue": float(np.min(np.linalg.eigvalsh(finals)))}
+    # core.check_density_matrix's tolerances; a nan fails every comparison
+    if not (np.isfinite(w).all() and health["max_trace_defect"] <= 1e-10
+            and health["min_eigenvalue"] >= -1e-8):
+        raise ArithmeticError(f"the scan's final states are not density matrices: {health}")
     path = out / "lindblad.csv"
     _write_csv(path,
                [f"amplitude = {amplitude} rad/ns", f"delta = {delta} rad/ns",
                 f"tau = {tau} ns", f"gamma = {lp.gamma} 1/ns",
                 f"gamma_phi = {lp.gamma_phi} 1/ns"],
-               ["tau_R", "W"], np.column_stack([delays, finals[:, 1, 1].real]))
-    health = {"max_trace_defect": float(np.max(np.abs(np.trace(finals, axis1=1, axis2=2) - 1))),
-              "min_eigenvalue": float(np.min(np.linalg.eigvalsh(finals)))}
+               ["tau_R", "W"], np.column_stack([delays, w]))
     return [path], {"health": health}
 
 
@@ -446,6 +451,9 @@ def main(argv=None) -> int:
         return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a config too large for this machine
+        print(f"numeric failure: out of memory ({exc})", file=sys.stderr)
         return 3
     # a command returns its output paths, or those and extra manifest entries
     outputs, extra = outputs if isinstance(outputs, tuple) else (outputs, {})

@@ -28,12 +28,12 @@ evolution integrates the master equation
 
 with s+ = |1><0|, so the relaxation channel drives |1> -> |0>.  Temperature
 effects are neglected and the dissipators act at all times, including during
-pulses.  Its superoperator is not normal, so each distinct generator
-``L dt`` of an open-system call is exponentiated from one stacked ``eig``, as
-``V diag(exp(lambda)) V^-1`` in the Pauli basis, which keeps the trace.  That
-form is accurate only while ``V`` is well conditioned; a generator whose
-``cond(V)`` exceeds :data:`EIG_COND_MAX`, as near an exceptional point, falls
-back to ``scipy.linalg.expm``, which is imported only then.
+pulses.  Its superoperator ``L`` is not normal, so each segment's ``L`` gets
+one ``eig`` in the Pauli basis, which keeps the trace, and every length ``dt``
+of it, whole or sampled, is ``V diag(exp(lambda dt)) V^-1``; the delay scans of
+``protocols`` do the same.  That form is accurate only while ``V`` is well
+conditioned; an ``L`` whose ``cond(V)`` exceeds :data:`EIG_COND_MAX`, as near an
+exceptional point, falls back to ``scipy.linalg.expm``, imported only then.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .core import (
 
 #: a sample time at most this far (ns) past a segment end is taken from that segment
 BOUNDARY_TOL = 1e-12
-#: a Lindblad generator whose eigenvector matrix has a larger condition number is
+#: a Lindblad superoperator whose eigenvector matrix has a larger condition number is
 #: exponentiated by ``scipy.linalg.expm`` instead of from its eigensystem
 EIG_COND_MAX = 1e3
 
@@ -197,40 +197,46 @@ def _checked_durations(durations) -> np.ndarray:
     return durations
 
 
-def _segment_propagators(hams, durations):
-    """Exact propagators exp(-i H_seg dt_seg), durations broadcast, from one ``eigh``."""
-    vals, vecs = np.linalg.eigh(hams)
-    return spectral_propagators(vals, vecs, _checked_durations(durations))
-
-
 # maps a row-major vec(rho) to its Pauli coefficients (tr rho, x, y, z); the inverse is exact
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 _PAULI_INV = _PAULI.conj().T / 2
 
 
-def _expm_distinct(gens) -> np.ndarray:
-    """Exponential of each generator ``(..., 4, 4)``, computed once per distinct one
-    (equal bits give equal exponentials; -0.0 is not +0.0).
+def _superoperator_exponentials(lops):
+    """``exponential(ks, dts, starts=None)`` for superoperators ``L (n, 4, 4)``, from one
+    stacked ``eig``: ``exp(L_k dt) (m, 4, 4)`` for each pair of ``ks`` and ``dts`` or, given
+    ``starts (n, 4)`` and ``ks`` in order, the states ``exp(L_k dt) starts_k (m, 4)`` as
+    ``V (exp(lambda dt) * V^-1 starts_k)``, with no matrix per pair.
 
-    One stacked ``eig`` gives ``V diag(exp(lambda)) V^-1``, taken in the Pauli
-    basis: there a trace-preserving generator's first row is exactly zero, so
-    ``eig`` isolates its zero eigenvalue and the exponential keeps the trace to
-    rounding.  Generators with ``cond(V) > EIG_COND_MAX``, defective ones
-    included, go to ``scipy.linalg.expm`` instead.
+    ``eig`` is taken in the Pauli basis: there a trace-preserving ``L``'s first row is
+    exactly zero, so ``eig`` isolates its zero eigenvalue and the exponential keeps the
+    trace to rounding at every ``dt``.  An ``L`` with ``cond(V) > EIG_COND_MAX``, a
+    defective one included, is exponentiated by ``scipy.linalg.expm`` at each ``dt``.
     """
-    flat = np.ascontiguousarray(gens, dtype=complex).reshape(-1, 16)
-    keys, inverse = np.unique(flat.view(np.dtype((np.void, 256))).ravel(), return_inverse=True)
-    mats = keys.view(complex).reshape(-1, 4, 4)
-    vals, vecs = np.linalg.eig(_PAULI @ mats @ _PAULI_INV)
+    vals, vecs = np.linalg.eig(_PAULI @ lops @ _PAULI_INV)
     good = np.linalg.cond(vecs) <= EIG_COND_MAX
-    v = vecs[good]
-    out = np.empty_like(mats)
-    out[good] = _PAULI_INV @ ((v * np.exp(vals[good])[:, None, :]) @ np.linalg.inv(v)) @ _PAULI
-    if not good.all():
-        import scipy.linalg
+    left, right = _PAULI_INV @ vecs, np.zeros_like(vecs)
+    right[good] = np.linalg.inv(vecs[good]) @ _PAULI
 
-        out[~good] = scipy.linalg.expm(mats[~good])
-    return out[inverse].reshape(gens.shape)
+    def exponential(ks, dts, starts=None):
+        ks, dts = np.asarray(ks, dtype=int), np.asarray(dts, dtype=float)
+        grow = np.exp(vals[ks] * dts[:, None])
+        if starts is None:
+            out = (left[ks] * grow[:, None, :]) @ right[ks]
+        else:
+            out = grow * (right @ starts[:, :, None])[ks, :, 0]
+            firsts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()
+            for a, b, k in zip(firsts, firsts[1:] + [len(ks)], ks[firsts].tolist()):
+                out[a:b] = out[a:b] @ left[k].T
+        bad = ~good[ks]
+        if bad.any():
+            import scipy.linalg
+
+            mats = scipy.linalg.expm(lops[ks[bad]] * dts[bad, None, None])
+            out[bad] = mats if starts is None else (mats @ starts[ks[bad], :, None])[..., 0]
+        return out
+
+    return exponential
 
 
 def _boundary_states(steps, v0) -> np.ndarray:
@@ -289,8 +295,9 @@ def _ordered_product(steps) -> np.ndarray:
 
 def evolve_unitaries(hams, durations) -> np.ndarray:
     """Ordered products ``(..., d, d)`` of exact segment propagators for
-    Hamiltonians ``(..., n_seg, d, d)`` and durations ``(..., n_seg)`` >= 0."""
-    return _ordered_product(_segment_propagators(hams, durations))
+    Hamiltonians ``(..., n_seg, d, d)`` and durations ``(..., n_seg)`` >= 0, from one ``eigh``."""
+    vals, vecs = np.linalg.eigh(hams)
+    return _ordered_product(spectral_propagators(vals, vecs, _checked_durations(durations)))
 
 
 def evolve_unitary(schedule: Schedule) -> np.ndarray:
@@ -339,8 +346,7 @@ def _sample_grid(schedule: Schedule, sample_dt: float) -> np.ndarray:
         raise ValueError(f"sample_dt must be > 0, got {sample_dt}")
     total = schedule.total_duration
     uniform = np.arange(0.0, total, sample_dt)
-    times = np.union1d(np.append(uniform, total), schedule.boundaries())
-    return times
+    return np.union1d(np.append(uniform, total), schedule.boundaries())
 
 
 def evolve_state(schedule: Schedule, psi0, sample_dt: float) -> Trajectory:
@@ -444,27 +450,19 @@ def lindblad_superoperator(h: np.ndarray, lp: LindbladParams) -> np.ndarray:
 
 def evolve_lindblad(schedule: Schedule, rho0, lp: LindbladParams,
                     sample_dt: float) -> Trajectory:
-    """Sampled open-system evolution of a single-qubit density matrix over a schedule;
-    for final states alone, :func:`evolve_lindblad_finals` takes a whole batch."""
+    """Sampled open-system evolution of a single-qubit density matrix over a schedule."""
     if schedule.dimension != 2:
         raise ValueError("open-system evolution is implemented for dimension 2 only")
     vec0 = check_density_matrix(rho0).reshape(4)
     times = _sample_grid(schedule, sample_dt)
-    lops = lindblad_superoperator(schedule.hamiltonians(), lp)
+    n = len(schedule.durations())
+    exponential = _superoperator_exponentials(lindblad_superoperator(schedule.hamiltonians(), lp))
 
     def propagate(ks, dts):
-        steps, n = _expm_distinct(lops[ks] * dts[:, None, None]), len(lops)
-        return steps[:n], lambda starts, out: np.matmul(steps[n:], starts[ks[n:], :, None],
-                                                        out=out[..., None])
+        def reach(starts, out):
+            out[...] = exponential(ks[n:], dts[n:], starts[:-1])
+
+        return exponential(ks[:n], dts[:n]), reach
 
     vecs = _sample(schedule.durations(), vec0, times, propagate)
     return Trajectory(times=times, states=vecs.reshape(-1, 2, 2), kind="density")
-
-
-def evolve_lindblad_finals(hams, durations, rho0, lp: LindbladParams) -> np.ndarray:
-    """Final density matrices ``(..., 2, 2)`` from ``rho0`` for qubit Hamiltonians
-    ``(..., n_seg, 2, 2)`` and durations ``(..., n_seg)`` >= 0, broadcast as in
-    :func:`evolve_unitaries`; one stacked ``eig`` over the distinct generators."""
-    gens = lindblad_superoperator(hams, lp) * _checked_durations(durations)[..., None, None]
-    vec = _boundary_states(_expm_distinct(gens), check_density_matrix(rho0).reshape(4))
-    return vec[..., -1, :].reshape(vec.shape[:-2] + (2, 2))

@@ -89,6 +89,15 @@ class LJJConfig:
                              f"0.5*dx = {0.5 * self.dx:.4g}")
         if not 0.0 < self.x1 < self.x2 < self.length:
             raise ValueError("tap positions must satisfy 0 < x1 < x2 < length")
+        # the grid is i * dx, i = 0 .. round(length / dx), and a tap takes its nearest point;
+        # rounding to a float keeps a quotient that overflows to inf from raising here
+        if not (self.dx > 0 and 0 < round(self.x1 / self.dx, 0) < round(self.x2 / self.dx, 0)
+                < round(self.length / self.dx, 0)):
+            raise ValueError(f"dx = {self.dx} must be > 0 and put the taps x1 and x2 on "
+                             "distinct interior grid points")
+        if not 0.0 < self.kink_position < self.length:
+            raise ValueError(f"kink_position = {self.kink_position} must lie inside the "
+                             f"junction, between 0 and length = {self.length}")
         if self.initial_velocity is not None and abs(self.initial_velocity) >= 1.0:
             raise ValueError("initial velocity must be below the Swihart velocity (1)")
 

@@ -9,9 +9,9 @@ so two schedules, at 0 and 1, give every row's controls, and no schedule is
 built per axis1 value.  A sampled sweep then samples all rows at every axis2
 time in one :mod:`picopulse.dynamics` call.  A three-stage sweep samples the
 kicked ground state along every amplitude's drive segment at each tau2 and
-kicks it again, and each delay scan batches all its delays; the Ramsey scan's
-closed-form column is one array expression.  Every cell equals an independent
-propagation, which the test-suite checks.
+kicks it again; each delay scan samples its pulsed state along the free segment
+at every delay the same way, and the Ramsey scan's closed form is one array
+expression.  Every cell equals an independent propagation, as the tests check.
 """
 
 from __future__ import annotations
@@ -28,9 +28,11 @@ from .dynamics import (
     Schedule,
     Segment,
     _boundary_states,
-    evolve_lindblad_finals,
+    _checked_durations,
+    _superoperator_exponentials,
     evolve_state,
     evolve_unitaries,
+    lindblad_superoperator,
     sample_states,
 )
 
@@ -188,13 +190,6 @@ def _sampled_populations(spec: SweepSpec, schedule_of) -> np.ndarray:
     return np.square(pops, out=pops)  # in place: the grid is a sweep's largest array
 
 
-def _scan_durations(schedule: Schedule, k: int, lengths) -> np.ndarray:
-    """``schedule``'s durations, one row per entry of ``lengths``, which segment ``k`` lasts."""
-    durations = np.repeat(schedule.durations()[None], len(lengths), axis=0)
-    durations[:, k] = lengths
-    return durations
-
-
 def sweep_single_pulse(spec: SweepSpec) -> SweepGrid:
     """Population map under a single unipolar pulse: axis1 = amplitude, axis2 = time."""
     f, k = spec.fixed, spec.observable
@@ -252,25 +247,30 @@ def sweep_register_pair(spec: SweepSpec) -> tuple[SweepGrid, SweepGrid, SweepGri
 
 def ramsey_delay_scan(amplitude: float, delta: float, tau: float,
                       tau_r_values) -> np.ndarray:
-    """Columns (tau_r, W_numeric, W_analytic) for equal-duration pulse pairs.
+    """Columns (tau_r, W_numeric, W_analytic) for equal-duration pulse pairs and delays >= 0.
 
-    One batched core call covers every delay, and one array expression the
-    closed form; a zero delay is a zero-length free segment.
-    """
-    delays = np.asarray(tau_r_values, dtype=float)
-    # the free segment's Hamiltonian does not depend on its length, which each delay sets
+    As in :func:`sweep_three_stage`, the pulsed ground state is sampled along the free
+    segment at every delay and pulsed again; one array expression gives the closed form."""
+    delays = _checked_durations(tau_r_values)
     template = pulse_pair_schedule(amplitude, tau, tau, tau, delta)
-    finals = evolve_unitaries(template.hamiltonians(), _scan_durations(template, 1, delays))
+    hams = template.hamiltonians()
+    pulse = evolve_unitaries(hams[:1], template.durations()[:1])
+    free = sample_states(hams[1:2], [np.max(delays, initial=0.0)], pulse[:, 0], delays)
     w_ana = analytic.ramsey_probabilities_unipolar(amplitude, tau, delays, delta)
-    return np.column_stack([delays, np.abs(finals[:, 1, 0]) ** 2, w_ana])
+    return np.column_stack([delays, np.abs(free @ pulse[1]) ** 2, w_ana])
 
 
 def lindblad_ramsey_finals(amplitude: float, delta: float, tau: float,
                            tau_r_values, lp: LindbladParams) -> np.ndarray:
-    """The final density matrices of :func:`lindblad_ramsey_scan`, in one batched call."""
-    template = pulse_pair_schedule(amplitude, tau, tau, tau, delta)
-    durations = _scan_durations(template, 1, tau_r_values)
-    return evolve_lindblad_finals(template.hamiltonians(), durations, np.diag([1.0, 0.0]), lp)
+    """The final density matrices of :func:`lindblad_ramsey_scan`, sampled as in
+    :func:`ramsey_delay_scan`, from one ``eig`` per segment superoperator."""
+    delays = _checked_durations(tau_r_values)
+    hams = pulse_pair_schedule(amplitude, tau, tau, tau, delta).hamiltonians()[:2]
+    exponential = _superoperator_exponentials(lindblad_superoperator(hams, lp))
+    pulse = exponential([0], [tau])[0]
+    pulsed = np.broadcast_to(pulse[:, 0], (2, 4))  # |0><0| pulsed: the free segment's start
+    free = exponential(np.ones(len(delays), dtype=int), delays, pulsed)
+    return (free @ pulse.T).reshape(-1, 2, 2)
 
 
 def lindblad_ramsey_scan(amplitude: float, delta: float, tau: float,

@@ -302,9 +302,10 @@ def test_batched_scans_make_eigh_calls_independent_of_axis1(monkeypatch):
         protocols.sweep_three_stage(spec)
         counts.append(len(calls))
     assert counts[0] == counts[1]
-    calls.clear()
-    protocols.ramsey_delay_scan(40.0, 1.5, 0.02, np.linspace(0.0, 8.0, 30))
-    assert len(calls) == 1
+    for n in (30, 301):  # one eigh for the pulse and one for the free segment, whatever n
+        calls.clear()
+        protocols.ramsey_delay_scan(40.0, 1.5, 0.02, np.linspace(0.0, 8.0, n))
+        assert calls == [(1, 2, 2), (1, 2, 2)]
     for runner, names, build, _ in SAMPLED.values():  # one stacked eigh over all rows
         calls.clear()
         fixed = {k: 0.05 if k.startswith("tau") else 1.5 for k in names}
@@ -430,15 +431,12 @@ def density_matrices(draw):
 
 
 @st.composite
-def open_schedules(draw, batch=None):
-    """Detuning, drives ``(n_seg,)`` and durations ``(n_seg,)`` or ``(batch, n_seg)``,
-    some of them zero."""
+def open_schedules(draw):
+    """Detuning, drives ``(n_seg,)`` and durations ``(n_seg,)``, some of them zero."""
     n = draw(st.integers(1, 6))
     e1 = np.array([draw(controls) for _ in range(n)])
-    shape = (n,) if batch is None else (batch, n)
-    lengths = st.lists(st.one_of(st.just(0.0), durations), min_size=int(np.prod(shape)),
-                       max_size=int(np.prod(shape)))
-    return draw(controls), e1, np.array(draw(lengths)).reshape(shape)
+    lengths = st.lists(st.one_of(st.just(0.0), durations), min_size=n, max_size=n)
+    return draw(controls), e1, np.array(draw(lengths))
 
 
 def qubit_hamiltonians(delta, e1):
@@ -456,46 +454,52 @@ def assert_physical(rhos):
 def test_lindblad_finals_match_per_segment_expm(schedule, rho0, gamma, gamma_phi):
     delta, e1, durs = schedule
     hams, lp = qubit_hamiltonians(delta, e1), dynamics.LindbladParams(gamma, gamma_phi)
-    final = dynamics.evolve_lindblad_finals(hams, durs, rho0, lp)
-    assert final.shape == (2, 2)
-    assert np.max(np.abs(final - reference_lindblad_final(hams, durs, rho0, gamma,
-                                                          gamma_phi))) <= 1e-12
-    # a zero-length segment is the identity, and a Schedule leaves it out
+    # a Schedule leaves out a zero-length segment, which the reference keeps as the identity
     kept = durs > 0
     controls_kept = np.column_stack([e1[kept], np.zeros((int(kept.sum()), 2))])
     sched = Schedule.from_arrays(delta, durs[kept], controls_kept)
-    traj = dynamics.evolve_lindblad(sched, rho0, lp, 0.1)
-    assert np.max(np.abs(final - traj.final)) <= 1e-12
+    final = dynamics.evolve_lindblad(sched, rho0, lp, 0.1).final
+    assert final.shape == (2, 2)
+    assert np.max(np.abs(final - reference_lindblad_final(hams, durs, rho0, gamma,
+                                                          gamma_phi))) <= 1e-12
     assert_physical(final)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda b: open_schedules(batch=b)), density_matrices(),
-       rates, rates)
-def test_lindblad_finals_batch_shares_one_hamiltonian_stack(schedule, rho0, gamma, gamma_phi):
-    delta, e1, durs = schedule
-    hams, lp = qubit_hamiltonians(delta, e1), dynamics.LindbladParams(gamma, gamma_phi)
-    finals = dynamics.evolve_lindblad_finals(hams, durs, rho0, lp)
-    assert finals.shape == (len(durs), 2, 2)
-    for final, row in zip(finals, durs):
-        ref = reference_lindblad_final(hams, row, rho0, gamma, gamma_phi)
+@given(controls, controls, durations, rates, rates,
+       st.lists(st.one_of(st.just(0.0), durations), min_size=1, max_size=6))
+def test_lindblad_finals_batch_shares_one_hamiltonian_stack(amplitude, delta, tau, gamma,
+                                                            gamma_phi, delays):
+    """Every delay's final state of a Lindblad scan, against per-segment ``expm``."""
+    finals = protocols.lindblad_ramsey_finals(amplitude, delta, tau, delays,
+                                              dynamics.LindbladParams(gamma, gamma_phi))
+    assert finals.shape == (len(delays), 2, 2)
+    hams = qubit_hamiltonians(delta, np.array([amplitude, 0.0, amplitude]))
+    for final, tau_r in zip(finals, delays):
+        ref = reference_lindblad_final(hams, [tau, tau_r, tau], np.diag([1.0, 0.0]), gamma,
+                                       gamma_phi)
         assert np.max(np.abs(final - ref)) <= 1e-12
     assert_physical(finals)
 
 
 def test_lindblad_finals_of_empty_schedule_is_rho0():
     rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
-    final = dynamics.evolve_lindblad_finals(np.zeros((0, 2, 2)), np.zeros(0), rho0,
-                                            dynamics.LindbladParams(0.5, 0.5))
+    lp = dynamics.LindbladParams(0.5, 0.5)
+    final = dynamics.evolve_lindblad(Schedule(1.5, []), rho0, lp, 0.1).final
     assert np.array_equal(final, rho0)
+    # and scans over no delays give no rows
+    assert protocols.lindblad_ramsey_finals(40.0, 1.5, 0.02, [], lp).shape == (0, 2, 2)
+    assert protocols.ramsey_delay_scan(40.0, 1.5, 0.02, []).shape == (0, 3)
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
 def test_lindblad_finals_reject_bad_durations(bad):
-    hams = core.hamiltonians([(1.0, 2.0), (1.0, 0.0)])
+    """Both scans check their delays: sampling alone would take one below 0 as 0."""
     with pytest.raises(ValueError, match="durations"):
-        dynamics.evolve_lindblad_finals(hams, [[0.1, 0.2], [0.1, bad]], np.diag([1.0, 0.0]),
-                                        dynamics.LindbladParams(0.1, 0.1))
+        protocols.lindblad_ramsey_finals(40.0, 1.5, 0.02, [0.5, 0.0, bad],
+                                         dynamics.LindbladParams(0.1, 0.1))
+    with pytest.raises(ValueError, match="durations"):
+        protocols.ramsey_delay_scan(40.0, 1.5, 0.02, [0.5, 0.0, bad])
 
 
 def count_eig_and_expm(monkeypatch):
@@ -510,12 +514,15 @@ def count_eig_and_expm(monkeypatch):
 
 
 def test_lindblad_scan_makes_one_stacked_eig(monkeypatch):
+    """One ``eig`` of the pulse's and the free segment's superoperators, whatever the delays."""
     calls = count_eig_and_expm(monkeypatch)
-    delays = np.concatenate([np.linspace(0.0, 8.0, 30), [2.0, 0.0]])
-    rows = protocols.lindblad_ramsey_scan(40.0, 1.5, 0.02, delays,
-                                          dynamics.LindbladParams(0.3, 0.6))
-    assert calls == {"eig": [(len(np.unique(delays)) + 1, 4, 4)], "expm": []}
-    assert np.array_equal(rows[:, 0], delays)
+    for delays in (np.concatenate([np.linspace(0.0, 8.0, 30), [2.0, 0.0]]),
+                   np.linspace(0.0, 8.0, 301)):
+        calls["eig"].clear()
+        rows = protocols.lindblad_ramsey_scan(40.0, 1.5, 0.02, delays,
+                                              dynamics.LindbladParams(0.3, 0.6))
+        assert calls == {"eig": [(2, 4, 4)], "expm": []}
+        assert np.array_equal(rows[:, 0], delays)
 
 
 @settings(max_examples=30, deadline=None)
@@ -600,31 +607,44 @@ def test_sampled_lindblad_makes_one_stacked_eig(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the eigenvector exponential and its expm fallback for ill-conditioned generators
+# the eigenvector exponential and its expm fallback for ill-conditioned superoperators
 
-def relaxation_generators(drives, t=3.0):
-    """``L t`` for resonant drives at gamma = 1, gamma_phi = 0: the generator is
-    defective (an exceptional point) at drive 0.25."""
+def relaxation_superoperators(drives):
+    """``L`` for resonant drives at gamma = 1, gamma_phi = 0: it is defective (an
+    exceptional point) at drive 0.25."""
     hams = core.hamiltonians(np.column_stack([np.zeros(len(drives)), drives]))
-    return dynamics.lindblad_superoperator(hams, dynamics.LindbladParams(1.0, 0.0)) * t
+    return dynamics.lindblad_superoperator(hams, dynamics.LindbladParams(1.0, 0.0))
+
+
+def exponentials(lops, dts, starts=None):
+    """``exp(L_k dt_k)`` of each superoperator at its own duration, or that applied to
+    ``starts[k]``, from one eigenvector exponential."""
+    return dynamics._superoperator_exponentials(lops)(np.arange(len(lops)), dts, starts)
 
 
 def test_generators_at_and_near_an_exceptional_point_take_the_fallback(monkeypatch):
-    gens = relaxation_generators(0.25 + np.linspace(-1e-7, 1e-7, 21))
+    lops = relaxation_superoperators(0.25 + np.linspace(-1e-7, 1e-7, 21))
+    ref = scipy.linalg.expm(lops * 3.0)
+    starts = np.random.default_rng(5).normal(size=(21, 4))
     calls = count_eig_and_expm(monkeypatch)
-    out = dynamics._expm_distinct(gens)
+    out = exponentials(lops, np.full(21, 3.0))
     assert calls == {"eig": [(21, 4, 4)], "expm": [(21, 4, 4)]}
-    assert np.max(np.abs(out - scipy.linalg.expm(gens))) <= 1e-12
+    assert np.max(np.abs(out - ref)) <= 1e-12
+    states = exponentials(lops, np.full(21, 3.0), starts)
+    assert np.max(np.abs(states - (ref @ starts[..., None])[..., 0])) <= 1e-12
 
 
 def test_generators_around_an_exceptional_point_match_expm(monkeypatch):
     """Some of these fall back and some do not; both sides of the guard stay within 1e-12."""
-    gens = relaxation_generators(0.25 + np.linspace(-1e-5, 1e-5, 201))
-    ref = scipy.linalg.expm(gens)
+    lops = relaxation_superoperators(0.25 + np.linspace(-1e-5, 1e-5, 201))
+    ref = scipy.linalg.expm(lops * 3.0)
+    starts = np.random.default_rng(6).normal(size=(201, 4))
     calls = count_eig_and_expm(monkeypatch)
-    out = dynamics._expm_distinct(gens)
-    assert len(calls["expm"]) == 1 and 0 < calls["expm"][0][0] < len(gens)
+    out = exponentials(lops, np.full(201, 3.0))
+    assert len(calls["expm"]) == 1 and 0 < calls["expm"][0][0] < len(lops)
     assert np.max(np.abs(out - ref)) <= 1e-12
+    states = exponentials(lops, np.full(201, 3.0), starts)
+    assert np.max(np.abs(states - (ref @ starts[..., None])[..., 0])) <= 1e-12
 
 
 def test_jordan_blocks_take_the_fallback(monkeypatch):
@@ -636,28 +656,32 @@ def test_jordan_blocks_take_the_fallback(monkeypatch):
     assert np.linalg.matrix_rank(pauli_vecs) < 4
     gens = np.stack([jordan, nilpotent])
     calls = count_eig_and_expm(monkeypatch)
-    out = dynamics._expm_distinct(gens)
+    out = exponentials(gens, [1.0, 1.0])
     assert calls["expm"] == [(2, 4, 4)]
     assert np.max(np.abs(out - scipy.linalg.expm(gens))) <= 1e-12
 
 
 def test_zero_generator_gives_exactly_the_identity():
+    """A zero superoperator gives exactly the identity at any duration.  A zero duration of
+    another one gives ``V V^-1``, the identity to rounding only."""
     lop = dynamics.lindblad_superoperator(core.hamiltonians((1.5, 40.0)),
                                           dynamics.LindbladParams(0.3, 0.6))
     zeros = np.stack([np.zeros((4, 4)), lop * 0.0, lop * -0.0])
-    assert np.array_equal(dynamics._expm_distinct(zeros), np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert np.array_equal(exponentials(zeros, [0.0, 1.0, 2.5]),
+                          np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert np.max(np.abs(exponentials(lop[None], [0.0]) - np.eye(4))) <= 1e-15
 
 
 def test_eigenvector_exponential_keeps_the_trace(monkeypatch):
     """``tr exp(L t) rho = tr rho`` to rounding: the Pauli-basis ``eig`` isolates the
-    zero eigenvalue of each trace-preserving generator (``expm`` reaches ~5e-14 here)."""
+    zero eigenvalue of each trace-preserving superoperator (``expm`` reaches ~5e-14 here)."""
     rng = np.random.default_rng(7)
     n = 400
     hams = core.hamiltonians(np.column_stack([rng.uniform(-40, 40, n), rng.uniform(-40, 40, n)]))
     lops = np.stack([dynamics.lindblad_superoperator(h, dynamics.LindbladParams(*g))
                      for h, g in zip(hams, rng.uniform(0.0, 3.0, (n, 2)))])
     calls = count_eig_and_expm(monkeypatch)
-    out = dynamics._expm_distinct(lops * rng.uniform(0.0, 10.0, n)[:, None, None])
+    out = exponentials(lops, rng.uniform(0.0, 10.0, n))
     assert calls["expm"] == []
     trace = np.array([1.0, 0.0, 0.0, 1.0])
     assert np.max(np.abs(trace @ out - trace)) <= 1e-15
@@ -670,5 +694,8 @@ def test_physical_generators_match_expm(delta, drives, gamma, gamma_phi, dts):
     n = min(len(drives), len(dts))
     lops = dynamics.lindblad_superoperator(qubit_hamiltonians(delta, np.array(drives[:n])),
                                            dynamics.LindbladParams(gamma, gamma_phi))
-    gens = lops * np.array(dts[:n])[:, None, None]
-    assert np.max(np.abs(dynamics._expm_distinct(gens) - scipy.linalg.expm(gens))) <= 1e-12
+    dts = np.array(dts[:n])
+    ref = scipy.linalg.expm(lops * dts[:, None, None])
+    assert np.max(np.abs(exponentials(lops, dts) - ref)) <= 1e-12
+    starts = np.broadcast_to(np.array([0.6, 0.2 - 0.1j, 0.2 + 0.1j, 0.4]), (n, 4))
+    assert np.max(np.abs(exponentials(lops, dts, starts) - ref @ starts[0])) <= 1e-12

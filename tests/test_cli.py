@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from picopulse import fluxshaper, protocols
+import picopulse
+from picopulse import cli, fluxshaper, protocols
 from picopulse.cli import main
 from picopulse.fluxshaper import power_balance_velocity
 
@@ -131,6 +136,45 @@ def test_lindblad_manifest_reports_health(tmp_path):
     health = json.loads((out / "manifest.json").read_text())["health"]
     assert health["max_trace_defect"] <= 1e-10
     assert health["min_eigenvalue"] >= -1e-8
+
+
+def test_lindblad_overflow_exits_3(tmp_path):
+    """An amplitude of 1e30 GHz overflows the exponentials, so W is nan: a numeric failure,
+    with no output written.  Run as a user runs it, where numpy's overflow is a warning."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(RAMSEY_CFG, amplitude=1e30, gamma=0.05, gamma_phi=0.1)))
+    src = str(Path(picopulse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "picopulse.cli", "lindblad", "--config",
+                           str(path), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "numeric failure" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "lindblad.csv").exists()
+
+
+@pytest.mark.parametrize("defect", ["nan", "trace", "eigenvalue"])
+def test_lindblad_health_gate_exits_3(tmp_path, capsys, monkeypatch, defect):
+    """Final states beyond core.check_density_matrix's tolerances are a numeric failure."""
+    scan = protocols.lindblad_ramsey_finals
+
+    def spoiled(*args):
+        finals = scan(*args)
+        if defect == "nan":
+            finals[3, 1, 1] = math.nan
+        elif defect == "trace":
+            finals[3, 0, 0] += 2e-10
+        else:
+            finals[3] = np.diag([1.0 + 2e-8, -2e-8])
+        return finals
+
+    monkeypatch.setattr(protocols, "lindblad_ramsey_finals", spoiled)
+    rc, out = run(tmp_path, "lindblad", dict(RAMSEY_CFG, gamma=0.05, gamma_phi=0.1),
+                  name="spoiled.json")
+    assert rc == 3
+    assert "not density matrices" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command,extra", [("ramsey", {}),
@@ -454,6 +498,27 @@ def test_non_finite_shaper_fields_exit_2(tmp_path, capsys, config, field):
     rc, _ = run(tmp_path, "shape", config, name="nonfinite.json")
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("dx", 1e6), ("kink_position", 1e6),
+                                         ("kink_position", -1.0)])
+def test_misplaced_grid_or_kink_exits_2(tmp_path, capsys, field, value):
+    """A dx too coarse to place the taps, or a kink outside the junction, is named."""
+    rc, _ = run(tmp_path, "shape", {"ljj": {field: value}}, name="misplaced.json")
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    def too_large(config, out, conv):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setitem(cli._COMMANDS, "shape", too_large)
+    rc, out = run(tmp_path, "shape", {}, name="large.json")
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "out of memory" in err and "Traceback" not in err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("field,value", [("alpha", -100.0), ("absorber_alpha", -50.0),

@@ -31,6 +31,16 @@ def test_config_validation():
         fs.LJJConfig(length=10.0)
     with pytest.raises(ValueError):
         fs.LJJConfig(x1=30.0, x2=20.0)
+    with pytest.raises(ValueError, match="dx"):
+        fs.LJJConfig(dx=1e6)  # the grid has no interior point for the taps
+    with pytest.raises(ValueError, match="dx"):
+        fs.LJJConfig(dx=1e-320)  # length / dx overflows to inf
+    with pytest.raises(ValueError, match="dx"):
+        fs.LJJConfig(x1=8.0, x2=8.01)  # both taps round onto one grid point
+    with pytest.raises(ValueError, match="kink_position"):
+        fs.LJJConfig(kink_position=1e6)
+    with pytest.raises(ValueError, match="kink_position"):
+        fs.LJJConfig(kink_position=0.0)
     with pytest.raises(ValueError):
         fs.InterferometerConfig(alpha_j=0.0)
     with pytest.raises(ValueError):
