@@ -338,17 +338,17 @@ def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
             raise ConfigError(f"invalid bias_sweep[{i}]: {exc}") from exc
     wave = fluxshaper.shape_control_pulse(ljj, cfg["amp"], cfg["energy_scale"],
                                           cfg["time_scale"])
+    summary = {"duration": fluxshaper.plateau_duration(wave),
+               "peak": fluxshaper.peak_amplitude(wave), "samples": len(wave.samples),
+               "velocity": wave.meta["velocity"], "charge_drift": wave.meta["charge_drift"]}
+    bad = [k for k, v in summary.items() if not math.isfinite(v)]
+    if bad:
+        raise ArithmeticError(f"summary.json's {', '.join(bad)} is not finite")
     path = out / "waveform.csv"
     _write_csv(path, [f"stage = {wave.meta.get('stage')}",
                       f"config = {wave.meta.get('config')}"],
                ["t", "value"], np.column_stack([wave.times, wave.samples]))
-    written = [path, _write_json(out / "summary.json", {
-        "duration": fluxshaper.plateau_duration(wave),
-        "peak": fluxshaper.peak_amplitude(wave),
-        "samples": len(wave.samples),
-        "velocity": wave.meta["velocity"],
-        "charge_drift": wave.meta["charge_drift"],
-    })]
+    written = [path, _write_json(out / "summary.json", summary)]
 
     if cfg["bias_sweep"] is not None:
         rows = fluxshaper.duration_vs_bias(ljj, cfg["bias_sweep"])

@@ -10,12 +10,13 @@ index a batch of schedules, get one stacked ``eigh``, and
 :func:`picopulse.core.spectral_propagators` turns the eigensystems into
 exact segment propagators, which :func:`evolve_unitaries` multiplies in
 order.  :func:`evolve_unitary` is its batch-of-one case for a schedule.  One
-sampler serves closed and open systems:
-:func:`sample_states` and :func:`evolve_lindblad` evolve each sample time
-from the state at the start of its segment.  :func:`sample_states` takes
-Hamiltonians ``(..., n_seg, d, d)`` that share durations ``(n_seg,)``, as a
-sweep's rows do, and evolves a sample in its segment's eigenbasis, so it
-builds no per-sample propagator; :func:`evolve_state` and
+sampler serves closed and open systems: :func:`sample_states` and
+:func:`evolve_lindblad` evolve each sample time from the state at the start of
+its segment through one eigenbasis exponential, ``exp(G dt) = left
+diag(exp(lambda dt)) right``, with no per-sample propagator; for ``G = -iH``
+one stacked ``eigh`` gives ``lambda``, ``left = V`` and ``right = V^dag``.
+:func:`sample_states` takes Hamiltonians ``(..., n_seg, d, d)`` that share
+durations ``(n_seg,)``, as a sweep's rows do; :func:`evolve_state` and
 ``protocols.populations_at`` are its batch-of-one case.  One classic RK4 step,
 :func:`rk4_step`, drives an explicit stepper kept as an independent
 cross-check (deliberately without renormalization), a cosine-driven
@@ -29,11 +30,12 @@ evolution integrates the master equation
 with s+ = |1><0|, so the relaxation channel drives |1> -> |0>.  Temperature
 effects are neglected and the dissipators act at all times, including during
 pulses.  Its superoperator ``L`` is not normal, so each segment's ``L`` gets
-one ``eig`` in the Pauli basis, which keeps the trace, and every length ``dt``
-of it, whole or sampled, is ``V diag(exp(lambda dt)) V^-1``; the delay scans of
-``protocols`` do the same.  That form is accurate only while ``V`` is well
-conditioned; an ``L`` whose ``cond(V)`` exceeds :data:`EIG_COND_MAX`, as near an
-exceptional point, falls back to ``scipy.linalg.expm``, imported only then.
+one ``eig`` in the Pauli basis ``P``, which keeps the trace, for the same
+exponential with ``left = P^-1 V`` and ``right = V^-1 P``; the delay scans of
+``protocols`` use it too.  That form is
+accurate only while ``V`` is well conditioned; an ``L`` whose ``cond(V)``
+exceeds :data:`EIG_COND_MAX`, as near an exceptional point, falls back to
+``scipy.linalg.expm``, imported only then.
 """
 
 from __future__ import annotations
@@ -202,11 +204,38 @@ _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 _PAULI_INV = _PAULI.conj().T / 2
 
 
+def _eigenbasis_exponential(vals, left, right):
+    """``exponential(ks, dts, starts=None, out=None)`` for generators ``G_k = left_k
+    diag(vals_k) right_k`` from ``vals (..., n, d)``, ``left`` and ``right (..., n, d, d)``:
+    ``exp(G_k dt) (..., m, d, d)`` for each pair of ``ks`` and ``dts`` or, given the states
+    ``starts (..., n, d)`` at the segment starts, the states ``exp(G_k dt) starts_k``,
+    written into ``out (..., m, d)`` as rows ``(exp(vals_k dt) * starts_k^T right_k^T)
+    left_k^T``."""
+    left_t = np.ascontiguousarray(np.moveaxis(left, -3, 0).swapaxes(-1, -2))
+    right_t = np.swapaxes(right, -1, -2)
+
+    def exponential(ks, dts, starts=None, out=None):
+        ks, dts = np.asarray(ks, dtype=int), np.asarray(dts, dtype=complex)
+        if out is None:
+            out = np.empty(vals.shape[:-2] + (len(ks), vals.shape[-1]), dtype=complex)
+        np.take(vals, ks, axis=-2, out=out, mode="clip")  # "raise" copies out first
+        out *= dts[:, None]
+        np.exp(out, out=out)
+        if starts is None:
+            return (left[..., ks, :, :] * out[..., None, :]) @ right[..., ks, :, :]
+        coeffs = starts[..., None, :] @ right_t
+        firsts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()
+        for a, b, k in zip(firsts, firsts[1:] + [len(ks)], ks[firsts].tolist()):
+            block = out[..., a:b, :]
+            block *= coeffs[..., k, :, :]
+            np.matmul(block, left_t[k], out=block)
+        return out
+
+    return exponential
+
+
 def _superoperator_exponentials(lops):
-    """``exponential(ks, dts, starts=None)`` for superoperators ``L (n, 4, 4)``, from one
-    stacked ``eig``: ``exp(L_k dt) (m, 4, 4)`` for each pair of ``ks`` and ``dts`` or, given
-    ``starts (n, 4)`` and ``ks`` in order, the states ``exp(L_k dt) starts_k (m, 4)`` as
-    ``V (exp(lambda dt) * V^-1 starts_k)``, with no matrix per pair.
+    """The eigenbasis exponential of superoperators ``L (n, 4, 4)`` from one stacked ``eig``.
 
     ``eig`` is taken in the Pauli basis: there a trace-preserving ``L``'s first row is
     exactly zero, so ``eig`` isolates its zero eigenvalue and the exponential keeps the
@@ -215,19 +244,15 @@ def _superoperator_exponentials(lops):
     """
     vals, vecs = np.linalg.eig(_PAULI @ lops @ _PAULI_INV)
     good = np.linalg.cond(vecs) <= EIG_COND_MAX
-    left, right = _PAULI_INV @ vecs, np.zeros_like(vecs)
+    right = np.zeros_like(vecs)
     right[good] = np.linalg.inv(vecs[good]) @ _PAULI
+    exponential = _eigenbasis_exponential(vals, _PAULI_INV @ vecs, right)
+    if good.all():
+        return exponential
 
-    def exponential(ks, dts, starts=None):
+    def with_fallback(ks, dts, starts=None, out=None):
         ks, dts = np.asarray(ks, dtype=int), np.asarray(dts, dtype=float)
-        grow = np.exp(vals[ks] * dts[:, None])
-        if starts is None:
-            out = (left[ks] * grow[:, None, :]) @ right[ks]
-        else:
-            out = grow * (right @ starts[:, :, None])[ks, :, 0]
-            firsts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()
-            for a, b, k in zip(firsts, firsts[1:] + [len(ks)], ks[firsts].tolist()):
-                out[a:b] = out[a:b] @ left[k].T
+        out = exponential(ks, dts, starts, out)
         bad = ~good[ks]
         if bad.any():
             import scipy.linalg
@@ -236,7 +261,7 @@ def _superoperator_exponentials(lops):
             out[bad] = mats if starts is None else (mats @ starts[ks[bad], :, None])[..., 0]
         return out
 
-    return exponential
+    return with_fallback
 
 
 def _boundary_states(steps, v0) -> np.ndarray:
@@ -250,19 +275,15 @@ def _boundary_states(steps, v0) -> np.ndarray:
     return np.moveaxis(states[..., 0], 0, -2)
 
 
-def _sample(durations, v0, times, propagate) -> np.ndarray:
+def _sample(durations, v0, times, exponential) -> np.ndarray:
     """States ``(..., len(times), d)`` from ``v0 (..., d)`` at sample times (any order).
 
     A time is evolved from the state at the start of the first segment that
     ends at or after it (within ``BOUNDARY_TOL``): a time on a boundary is the
     end of the earlier segment, times before 0 give ``v0`` and times past the
-    end the final state.  ``propagate(ks, dts)`` is called once, for segments
-    ``ks`` over times ``dts``: every whole segment in order, then the ``m``
-    samples inside the schedule, sorted by segment.  It returns the whole
-    segments' propagators ``(..., n_seg, d, d)`` and ``reach(starts, out)``,
-    which writes those samples' states into ``out (..., m, d)`` from the states
-    at the segment starts ``(..., n_seg + 1, d)``.  The samples are kept in
-    that order, and put back in the order of ``times`` only if it differs."""
+    end the final state.  ``exponential`` gives the whole segments'
+    propagators, then the samples inside the schedule, sorted by segment and
+    put back in the order of ``times`` only if it differs."""
     times = np.asarray(times, dtype=float)
     n = len(durations)
     bounds = np.concatenate([[0.0], np.cumsum(durations)])
@@ -271,10 +292,9 @@ def _sample(durations, v0, times, propagate) -> np.ndarray:
     m = int(np.count_nonzero(seg < n))
     k = seg[order[:m]]
     dt = np.maximum(times[order[:m]] - bounds[k], 0.0)
-    steps, reach = propagate(np.concatenate([np.arange(n), k]), np.concatenate([durations, dt]))
-    starts = _boundary_states(steps, v0)
+    starts = _boundary_states(exponential(np.arange(n), durations), v0)
     states = np.empty(starts.shape[:-2] + (len(times), starts.shape[-1]), dtype=complex)
-    reach(starts, states[..., :m, :])
+    exponential(k, dt, starts[..., :-1, :], states[..., :m, :])
     states[..., m:, :] = starts[..., -1:, :]  # past the end: the final state
     if np.any(np.diff(order) < 0):
         states = states[..., np.argsort(order), :]
@@ -310,35 +330,14 @@ def sample_states(hams, durations, psi0, times) -> np.ndarray:
     Hamiltonians ``(..., n_seg, d, d)`` that share durations ``(n_seg,)`` >= 0.
 
     A boundary time ends the earlier segment, times before 0 give ``psi0`` and
-    times past the end the final state.  One stacked ``eigh``; a sample in
-    segment ``k`` is ``V (exp(-i lambda dt) * V^dag psi_k)`` from the state
-    ``psi_k`` at the segment's start, so no per-sample propagator is built."""
+    times past the end the final state, from one stacked ``eigh``."""
     hams, durations = np.asarray(hams), _checked_durations(durations)
     if durations.shape != hams.shape[-3:-2]:
         raise ValueError(f"durations {durations.shape} do not match Hamiltonians {hams.shape}")
     vals, vecs = np.linalg.eigh(hams)
-    vecs_t = np.ascontiguousarray(np.moveaxis(vecs, -3, 0).swapaxes(-1, -2))  # V^T by segment
-
-    def propagate(ks, dts):
-        n = len(durations)
-        k, dt = ks[n:], dts[n:]
-
-        def reach(starts, out):
-            # in place, as rows: out = exp(-i lambda dt), then (out * psi_k^T conj(V)) V^T
-            coeffs = starts[..., :-1, None, :] @ vecs.conj()
-            out.real = 0.0
-            np.multiply(vals[..., k, :], -dt[:, None], out=out.imag)
-            np.exp(out, out=out)
-            firsts = np.flatnonzero(np.diff(k, prepend=-1)).tolist()
-            for a, b, seg in zip(firsts, firsts[1:] + [len(k)], k[firsts].tolist()):
-                block = out[..., a:b, :]
-                block *= coeffs[..., seg, :, :]
-                np.matmul(block, vecs_t[seg], out=block)
-
-        return spectral_propagators(vals, vecs, dts[:n]), reach
-
+    exponential = _eigenbasis_exponential(-1j * vals, vecs, np.conj(np.swapaxes(vecs, -1, -2)))
     v0 = np.broadcast_to(np.asarray(psi0, dtype=complex), hams.shape[:-3] + hams.shape[-1:])
-    return _sample(durations, v0, times, propagate)
+    return _sample(durations, v0, times, exponential)
 
 
 def _sample_grid(schedule: Schedule, sample_dt: float) -> np.ndarray:
@@ -455,14 +454,6 @@ def evolve_lindblad(schedule: Schedule, rho0, lp: LindbladParams,
         raise ValueError("open-system evolution is implemented for dimension 2 only")
     vec0 = check_density_matrix(rho0).reshape(4)
     times = _sample_grid(schedule, sample_dt)
-    n = len(schedule.durations())
     exponential = _superoperator_exponentials(lindblad_superoperator(schedule.hamiltonians(), lp))
-
-    def propagate(ks, dts):
-        def reach(starts, out):
-            out[...] = exponential(ks[n:], dts[n:], starts[:-1])
-
-        return exponential(ks[:n], dts[:n]), reach
-
-    vecs = _sample(schedule.durations(), vec0, times, propagate)
+    vecs = _sample(schedule.durations(), vec0, times, exponential)
     return Trajectory(times=times, states=vecs.reshape(-1, 2, 2), kind="density")

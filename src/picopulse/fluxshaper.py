@@ -393,7 +393,8 @@ def shape_control_pulse(ljj: LJJConfig, amp: InterferometerConfig,
     ``energy_scale`` converts the normalized output current into an angular
     drive amplitude (rad/ns); ``time_scale`` converts one normalized time unit
     into ns (set by the junction plasma frequency); both must be finite and
-    > 0, and are checked before the LJJ solve.  The fluxon's ``velocity``
+    > 0 (checked before the LJJ solve), and ``time_scale`` must keep the
+    sample period > 0 and the duration finite.  The fluxon's ``velocity``
     and ``charge_drift`` from the LJJ solve are handed out in ``meta``.
     """
     for name, scale in (("energy_scale", energy_scale), ("time_scale", time_scale)):
@@ -402,7 +403,10 @@ def shape_control_pulse(ljj: LJJConfig, amp: InterferometerConfig,
     result = simulate_ljj_fluxon(ljj)
     loop = loop_flux_waveform(result, ljj)
     current = simulate_amplitude_stage(loop, amp)
-    return Waveform(dt=current.dt * time_scale, samples=energy_scale * current.samples,
+    dt = current.dt * time_scale
+    if not (dt > 0 and math.isfinite(dt * len(current.samples))):
+        raise ValueError(f"time_scale = {time_scale} puts the sample period at {dt} ns")
+    return Waveform(dt=dt, samples=energy_scale * current.samples,
                     meta={"stage": "control", "config": _config_hash(ljj, amp),
                           "energy_scale": energy_scale, "time_scale": time_scale,
                           "velocity": result.velocity, "charge_drift": result.charge_drift})

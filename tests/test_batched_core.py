@@ -6,6 +6,7 @@ and eigensolver phases differ between the two paths, so propagators and
 states are compared to 1e-12; the Hamiltonians themselves to 1e-15.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -699,3 +700,62 @@ def test_physical_generators_match_expm(delta, drives, gamma, gamma_phi, dts):
     assert np.max(np.abs(exponentials(lops, dts) - ref)) <= 1e-12
     starts = np.broadcast_to(np.array([0.6, 0.2 - 0.1j, 0.2 + 0.1j, 0.4]), (n, 4))
     assert np.max(np.abs(exponentials(lops, dts, starts) - ref @ starts[0])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one eigenbasis exponential for closed and open systems
+
+def hermitian_exponential(hams):
+    """The exponential ``sample_states`` builds: ``G = -iH``, ``left = V``, ``right = V^dag``."""
+    vals, vecs = np.linalg.eigh(hams)
+    return dynamics._eigenbasis_exponential(-1j * vals, vecs, np.conj(np.swapaxes(vecs, -1, -2)))
+
+
+def generator_stacks():
+    """(exponential, starts at each segment start) for a batch of 3 rows of 4 register
+    Hamiltonians, and for 4 superoperators whose first sits at the exceptional point."""
+    rng = np.random.default_rng(8)
+    psis = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    closed = (hermitian_exponential(core.hamiltonians(rng.uniform(-40, 40, (3, 4, 5)))),
+              psis / np.linalg.norm(psis, axis=-1, keepdims=True))
+    lops = relaxation_superoperators([0.25, 0.1, 40.0, 1.0])
+    lops[2] += dynamics.lindblad_superoperator(core.hamiltonians((1.5, 0.0)),
+                                               dynamics.LindbladParams(0.0, 0.6))
+    rhos = np.array([[0.6, 0.2 - 0.1j, 0.2 + 0.1j, 0.4], [1, 0, 0, 0], [0, 0, 0, 1],
+                     [0.5, 0.5j, -0.5j, 0.5]])
+    return {"hermitian": closed, "superoperator": (dynamics._superoperator_exponentials(lops),
+                                                  rhos)}
+
+
+@pytest.mark.parametrize("stack", ["hermitian", "superoperator"])
+def test_state_form_is_the_matrix_form_applied_to_the_starts(stack):
+    exponential, starts = generator_stacks()[stack]
+    ks = np.array([0, 0, 1, 2, 2, 2, 3, 3])
+    dts = np.array([0.0, 0.3, 0.05, 0.0, 2.5, 0.4, 1.0, 0.2])
+    mats = exponential(ks, dts)
+    assert mats.shape == starts.shape[:-2] + (8,) + starts.shape[-1:] * 2
+    states = exponential(ks, dts, starts)
+    assert np.max(np.abs(states - (mats @ starts[..., ks, :, None])[..., 0])) <= 1e-15
+    out = np.zeros(starts.shape[:-2] + (9,) + starts.shape[-1:], dtype=complex)
+    exponential(ks, dts, starts, out[..., 1:, :])  # written in place
+    assert np.array_equal(out[..., 1:, :], states) and not out[..., 0, :].any()
+
+
+def test_closed_sampling_computes_no_cond_or_inv_and_imports_no_scipy(monkeypatch):
+    """``sample_states`` never reaches the open system's set-up or its ``expm`` fallback;
+    the superoperator stack shows that the counters and the import block see them."""
+    calls = {"cond": 0, "inv": 0}
+    for name in calls:
+        def counted(a, _f=getattr(np.linalg, name), _name=name):
+            calls[_name] += 1
+            return _f(a)
+        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # any import of it fails
+    hams = core.hamiltonians(np.random.default_rng(9).uniform(-40, 40, (3, 4, 5)))
+    states = dynamics.sample_states(hams, [0.1, 0.2, 0.0, 0.3], np.eye(4)[0],
+                                    np.linspace(-0.1, 0.7, 50))
+    assert states.shape == (3, 50, 4) and calls == {"cond": 0, "inv": 0}
+    exponential, _ = generator_stacks()["superoperator"]
+    assert calls == {"cond": 1, "inv": 1}
+    with pytest.raises(ImportError):
+        exponential([0], [1.0])

@@ -300,6 +300,18 @@ def test_demo_manifest_reports_fluxon_health(tmp_path):
     assert "health" not in (out / "demo.json").read_text()
 
 
+@pytest.mark.parametrize("kink_position", [39.9, 30.0])
+def test_shape_without_a_fluxon_velocity_exits_3_and_writes_nothing(tmp_path, capsys,
+                                                                    kink_position):
+    """A kink launched at or past the taps leaves the velocity NaN, which strict JSON
+    parsers reject."""
+    rc, out = run(tmp_path, "shape", {"ljj": {"kink_position": kink_position}},
+                  name="nofluxon.json")
+    assert rc == 3
+    assert capsys.readouterr().err == "numeric failure: summary.json's velocity is not finite\n"
+    assert list(out.iterdir()) == []
+
+
 def test_shape_summary_reports_fluxon_health(tmp_path):
     rc, out = run(tmp_path, "shape", SHAPE_CFG, name="health.json")
     assert rc == 0
@@ -561,8 +573,9 @@ def test_bad_rates_exit_2(tmp_path, capsys, recwarn, field, value):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, 1e308, 5e-324])
 def test_bad_time_scale_exits_2(tmp_path, capsys, recwarn, value):
+    """Also a scale that overflows the waveform's duration or underflows its sample period."""
     rc, out = run(tmp_path, "shape", {"time_scale": value}, name="scale.json")
     assert rc == 2
     assert_one_error_line(capsys, recwarn, "time_scale")

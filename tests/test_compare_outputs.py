@@ -1,0 +1,34 @@
+"""``tools/compare_outputs.py``: its number-by-number difference and one CLI run per side."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("compare_outputs",
+                                              ROOT / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
+
+
+@pytest.mark.parametrize("a,b,verdict", [
+    ("t,W\n0.0,0.5\n", "t,W\n0.0,0.5\n", "identical"),
+    ("t,W\n0.0,0.5\n", "t,W\n0.0,0.5000000000000001\n", "max abs difference 1.11e-16"),
+    ('{"v": NaN, "d": -2e-05}', '{"v": NaN, "d": -3e-05}', "max abs difference 1e-05"),
+    ('{"v": 1.0}', '{"v": Infinity}', "max abs difference inf"),
+    ("t,W\n0.0,0.5\n", "t,P\n0.0,0.5\n", "text differs"),
+    ("0.0,0.5\n", "0.0,0.5\n1.0,0.5\n", "text differs"),
+])
+def test_difference(a, b, verdict):
+    assert compare_outputs.difference(a, b) == verdict
+
+
+def test_a_failed_run_is_counted(tmp_path):
+    calls = [("ok", "ramsey", {"amplitude": 25.0, "delta": 0.25, "tau": 10.0,
+                               "tau_r": {"start": 0.0, "stop": 100.0, "count": 3}}),
+             ("bad", "ramsey", {"amplitude": 25.0})]
+    lines, counts = compare_outputs.compare(ROOT, ROOT, calls, tmp_path)
+    assert lines[0] == "ok/ramsey.csv: identical"
+    assert lines[1] == "bad: FAILED base exit 2, new exit 2"
+    assert counts == {"outputs": 1, "identical": 1, "failed": 1}
