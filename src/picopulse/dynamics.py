@@ -3,26 +3,26 @@
 A :class:`Schedule` holds its segments as arrays, ``durations (n,)`` and
 ``controls (n, 3)``; ``Schedule(delta1, segments)`` fills them from
 :class:`Segment` objects and :meth:`Schedule.from_arrays` takes them as they
-are, which is how a calibration template should build its schedules.  One
-batched core serves every closed-system result.  Segment Hamiltonians
-``(..., n_seg, d, d)`` and durations ``(..., n_seg)``, whose leading axes
-index a batch of schedules, get one stacked ``eigh``, and
-:func:`picopulse.core.spectral_propagators` turns the eigensystems into
-exact segment propagators, which :func:`evolve_unitaries` multiplies in
-order.  :func:`evolve_unitary` is its batch-of-one case for a schedule.  One
-sampler serves closed and open systems: :func:`sample_states` and
-:func:`evolve_lindblad` evolve each sample time from the state at the start of
-its segment through one eigenbasis exponential, ``exp(G dt) = left
-diag(exp(lambda dt)) right``, with no per-sample propagator; for ``G = -iH``
-one stacked ``eigh`` gives ``lambda``, ``left = V`` and ``right = V^dag``.
-:func:`sample_states` takes Hamiltonians ``(..., n_seg, d, d)`` that share
-durations ``(n_seg,)``, as a sweep's rows do; :func:`evolve_state` and
-``protocols.populations_at`` are its batch-of-one case.  One classic RK4 step,
-:func:`rk4_step`, drives an explicit stepper kept as an independent
-cross-check (deliberately without renormalization), a cosine-driven
-lab-frame integrator for the one genuinely time-dependent case and the
-amplitude stage's scalar phases in ``fluxshaper``.  Open-system
-evolution integrates the master equation
+are, which is how a calibration template should build its schedules.  Segment
+Hamiltonians ``(..., n_seg, d, d)`` and durations ``(..., n_seg)``, whose
+leading axes index a batch of schedules, get one stacked ``eigh``, and
+:func:`picopulse.core.spectral_propagators` turns the eigensystems into exact
+segment propagators.  One loop steps columns of states through them in order:
+the identity for :func:`evolve_unitaries` (and its batch-of-one case
+:func:`evolve_unitary`), each initial state for the sampler and the basis states
+and costates for calibration.  One sampler serves closed and open systems:
+:func:`sample_states` and :func:`evolve_lindblad` evolve each sample time from
+the state at the start of its segment through one eigenbasis exponential,
+``exp(G dt) = left diag(exp(lambda dt)) right``, with no per-sample propagator;
+for ``G = -iH`` one stacked ``eigh`` gives ``lambda``, ``left = V`` and
+``right = V^dag``.  :func:`sample_states` takes Hamiltonians
+``(..., n_seg, d, d)`` that share durations ``(n_seg,)``, as a sweep's rows do;
+:func:`evolve_state` and ``protocols.populations_at`` are its batch-of-one case.
+One classic RK4 step, :func:`rk4_step`, drives an explicit stepper kept as an
+independent cross-check (deliberately without renormalization), a cosine-driven
+lab-frame integrator for the one genuinely time-dependent case and the amplitude
+stage's scalar phases in ``fluxshaper``.  Open-system evolution integrates the
+master equation
 
     drho/dt = i[rho, H(t)] + gamma (s- rho s+ - 1/2 {s+ s-, rho})
               + gamma_phi (sz rho sz - rho)
@@ -32,10 +32,9 @@ effects are neglected and the dissipators act at all times, including during
 pulses.  Its superoperator ``L`` is not normal, so each segment's ``L`` gets
 one ``eig`` in the Pauli basis ``P``, which keeps the trace, for the same
 exponential with ``left = P^-1 V`` and ``right = V^-1 P``; the delay scans of
-``protocols`` use it too.  That form is
-accurate only while ``V`` is well conditioned; an ``L`` whose ``cond(V)``
-exceeds :data:`EIG_COND_MAX`, as near an exceptional point, falls back to
-``scipy.linalg.expm``, imported only then.
+``protocols`` use it too.  That form is accurate only while ``V`` is well
+conditioned; an ``L`` whose ``cond(V)`` exceeds :data:`EIG_COND_MAX`, as near an
+exceptional point, falls back to ``scipy.linalg.expm``, imported only then.
 """
 
 from __future__ import annotations
@@ -265,14 +264,15 @@ def _superoperator_exponentials(lops):
 
 
 def _boundary_states(steps, v0) -> np.ndarray:
-    """States ``(..., n_seg + 1, d)`` at every segment boundary, from ``v0 (..., d)`` and the
-    segment propagators ``(..., n_seg, d, d)`` applied in order."""
+    """Columns ``(..., n_seg + 1, d, k)`` at every segment boundary, from ``v0 (..., d, k)``
+    and the segment propagators ``(..., n_seg, d, d)`` applied in order; batch axes broadcast."""
     steps = np.moveaxis(steps, -3, 0)  # segments first
-    states = np.empty((len(steps) + 1,) + steps.shape[1:-1] + (1,), dtype=complex)
-    states[0] = v0[..., None]
+    batch = np.broadcast_shapes(steps.shape[1:-2], v0.shape[:-2])
+    states = np.empty((len(steps) + 1,) + batch + v0.shape[-2:], dtype=complex)
+    states[0] = v0
     for step, before, after in zip(steps, states[:-1], states[1:]):
         np.matmul(step, before, out=after)
-    return np.moveaxis(states[..., 0], 0, -2)
+    return np.moveaxis(states, 0, -3)
 
 
 def _sample(durations, v0, times, exponential) -> np.ndarray:
@@ -292,7 +292,7 @@ def _sample(durations, v0, times, exponential) -> np.ndarray:
     m = int(np.count_nonzero(seg < n))
     k = seg[order[:m]]
     dt = np.maximum(times[order[:m]] - bounds[k], 0.0)
-    starts = _boundary_states(exponential(np.arange(n), durations), v0)
+    starts = _boundary_states(exponential(np.arange(n), durations), v0[..., None])[..., 0]
     states = np.empty(starts.shape[:-2] + (len(times), starts.shape[-1]), dtype=complex)
     exponential(k, dt, starts[..., :-1, :], states[..., :m, :])
     states[..., m:, :] = starts[..., -1:, :]  # past the end: the final state
@@ -301,23 +301,12 @@ def _sample(durations, v0, times, exponential) -> np.ndarray:
     return states
 
 
-def _ordered_product(steps) -> np.ndarray:
-    """``U_{n-1} ... U_1 U_0`` over the segment axis of ``(..., n_seg, d, d)``."""
-    if steps.shape[-3] == 0:
-        return np.zeros(steps.shape[:-3] + (1, 1), dtype=complex) + np.eye(steps.shape[-1])
-    # pairwise products keep the order: (U1 U0), (U3 U2), ... then pairs of those
-    while steps.shape[-3] > 1:
-        pairs = steps[..., 1::2, :, :] @ steps[..., :-1:2, :, :]
-        steps = (np.concatenate([pairs, steps[..., -1:, :, :]], axis=-3)
-                 if steps.shape[-3] % 2 else pairs)
-    return steps[..., 0, :, :]
-
-
 def evolve_unitaries(hams, durations) -> np.ndarray:
     """Ordered products ``(..., d, d)`` of exact segment propagators for
     Hamiltonians ``(..., n_seg, d, d)`` and durations ``(..., n_seg)`` >= 0, from one ``eigh``."""
     vals, vecs = np.linalg.eigh(hams)
-    return _ordered_product(spectral_propagators(vals, vecs, _checked_durations(durations)))
+    steps = spectral_propagators(vals, vecs, _checked_durations(durations))
+    return _boundary_states(steps, np.eye(steps.shape[-1]))[..., -1, :, :]
 
 
 def evolve_unitary(schedule: Schedule) -> np.ndarray:
@@ -336,8 +325,7 @@ def sample_states(hams, durations, psi0, times) -> np.ndarray:
         raise ValueError(f"durations {durations.shape} do not match Hamiltonians {hams.shape}")
     vals, vecs = np.linalg.eigh(hams)
     exponential = _eigenbasis_exponential(-1j * vals, vecs, np.conj(np.swapaxes(vecs, -1, -2)))
-    v0 = np.broadcast_to(np.asarray(psi0, dtype=complex), hams.shape[:-3] + hams.shape[-1:])
-    return _sample(durations, v0, times, exponential)
+    return _sample(durations, np.asarray(psi0, dtype=complex), times, exponential)
 
 
 def _sample_grid(schedule: Schedule, sample_dt: float) -> np.ndarray:

@@ -228,6 +228,8 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
 
     nsteps = int(math.ceil(cfg.time_budget / dt))
     stride = max(1, nsteps // 2000)
+    # the exit test runs at least once per plasma period (2 pi), whatever the stride
+    every = min(stride, max(1, int(2.0 * math.pi / dt)))
     exit_x = cfg.length - cfg.absorber_width - 2.0
     level = 2.0 * math.pi / 2.0 + offset  # mid-kink phase level
 
@@ -260,14 +262,14 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
             frames[count] = phi
             np.subtract(phi_next, phi_prev, out=rates[count])
             count += 1
-            if not exited:
-                # no crossing (i = 0) is an exit; a crossing lies in (x[i-1], x[i]],
-                # so only one that reaches exit_x needs its interpolated position
-                i = int(np.argmax(phi < level))
-                if i == 0 or (x[i] >= exit_x and _fluxon_position(x, phi, level) >= exit_x):
-                    exited = True
-                    # keep integrating a little so the tap waveform settles
-                    nsteps = min(nsteps, step + int(10.0 / dt))
+        if not exited and step % every == 0:
+            # no crossing (i = 0) is an exit; a crossing lies in (x[i-1], x[i]],
+            # so only one that reaches exit_x needs its interpolated position
+            i = int(np.argmax(phi < level))
+            if i == 0 or (x[i] >= exit_x and _fluxon_position(x, phi, level) >= exit_x):
+                exited = True
+                # keep integrating a little so the tap waveform settles
+                nsteps = min(nsteps, step + int(10.0 / dt))
         phi_prev, phi, phi_next = phi, phi_next, phi_prev
         step += 1
     if not np.all(np.isfinite(phi)):
@@ -280,7 +282,7 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
 
     frames, rates = frames[:count], rates[:count]
     rates /= 2.0 * dt
-    times = (stride * np.arange(count)) * dt
+    times = (np.arange(count, dtype=float) * stride) * dt  # stride may pass int64
     positions = _fluxon_position(x, frames, level)
     # topological charge from endpoint phases, smoothed over one plasma period
     # to remove the (physical, non-topological) boundary plasma ringing

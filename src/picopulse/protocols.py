@@ -357,16 +357,12 @@ class _Infidelity:
         return schedule
 
     def values(self, rows) -> np.ndarray:
-        """Infidelities at each row of parameters, from one stacked core call."""
-        schedules = [self.schedule(p) for p in rows]
-        u = evolve_unitaries(np.array([s.hamiltonians() for s in schedules]),
-                             np.array([s.durations() for s in schedules]))
-        m = len(self.goals)
-        return 1.0 - np.abs(np.einsum("rik,ki->r", u[..., :m], self.goals.conj()) / m) ** 2
+        """Infidelities at each row of parameters, from one forward pass."""
+        return self._forward(rows)[0]
 
     def at(self, p, lo, hi):
-        """``(1 - F, gradient)`` at ``p``; ``gradient()`` gives ``d(1 - F)/dp`` from the same
-        ``eigh`` (GRAPE adjoint: Khaneja et al., J. Magn. Reson. 172, 296 (2005)).
+        """``(values([p])[0], gradient)``, where ``gradient()`` gives ``d(1 - F)/dp`` from the
+        same pass (GRAPE adjoint: Khaneja et al., J. Magn. Reson. 172, 296 (2005)).
 
         Segment ``k`` contributes ``<lambda_k+1| dU_k |psi_k>`` from the forward states
         ``psi`` and backward costates ``lambda``.  In its eigenbasis ``dU_k`` is the
@@ -375,25 +371,30 @@ class _Infidelity:
         difference the template at ``p`` and a step into the box ``[lo, hi]``, which is
         exact to rounding for a template affine in its parameters.
         """
-        schedule = self.schedule(p)
-        hams, durations = schedule.hamiltonians(), schedule.durations()
+        values, gradient = self._forward([p])
+        return values[0], lambda: gradient(lo, hi)
+
+    def _forward(self, rows):
+        """Infidelities at each row of parameters, and ``gradient(lo, hi)`` at the first."""
+        schedules = [self.schedule(p) for p in rows]
+        hams = np.array([s.hamiltonians() for s in schedules])
+        durations = np.array([s.durations() for s in schedules])
         vals, vecs = np.linalg.eigh(hams)
         steps = spectral_propagators(vals, vecs, durations)
         m, d = self.goals.shape
-        states = _boundary_states(np.broadcast_to(steps, (m,) + steps.shape), np.eye(d)[:m])
-        overlap = np.vdot(self.goals, states[:, -1]) / m
+        states = _boundary_states(steps, np.eye(d)[:, :m])  # (rows, n_seg + 1, d, m)
+        overlaps = np.einsum("rik,ki->r", states[:, -1], self.goals.conj()) / m
 
-        def gradient() -> np.ndarray:
-            back = np.broadcast_to(steps[::-1].conj().swapaxes(-1, -2), (m,) + steps.shape)
-            costates = _boundary_states(back, self.goals)[:, ::-1]
-            s = np.einsum("kba,mkb->mka", vecs.conj(), states[:, :-1])  # V^dag psi_k
-            c = np.einsum("kba,mkb->mka", vecs, costates[:, 1:].conj())  # lambda_k+1^dag V
-            c = np.einsum("mka,mkb->kab", c, s)
-            t = durations[:, None, None]
-            divided = (-1j * t * np.exp(-0.5j * t * (vals[:, :, None] + vals[:, None, :]))
-                       * np.sinc(t * (vals[:, :, None] - vals[:, None, :]) / math.tau))
-            dham = vecs.conj() @ (c * divided) @ vecs.swapaxes(-1, -2)
-            ddur = -1j * np.einsum("ka,kaa->k", vals * np.exp(-1j * durations[:, None] * vals), c)
+        def gradient(lo, hi) -> np.ndarray:
+            p, ham, dur, val, vec = rows[0], hams[0], durations[0], vals[0], vecs[0]
+            costates = _boundary_states(steps[0, ::-1].conj().swapaxes(-1, -2), self.goals.T)[::-1]
+            outer = costates[1:].conj() @ states[0, :-1].swapaxes(-1, -2)
+            c = vec.swapaxes(-1, -2) @ outer @ vec.conj()  # (V^dag psi lambda^dag V)^T
+            t = dur[:, None, None]
+            divided = (-1j * t * np.exp(-0.5j * t * (val[:, :, None] + val[:, None, :]))
+                       * np.sinc(t * (val[:, :, None] - val[:, None, :]) / math.tau))
+            dham = vec.conj() @ (c * divided) @ vec.swapaxes(-1, -2)
+            ddur = -1j * np.einsum("ka,kaa->k", val * np.exp(-1j * dur[:, None] * val), c)
             grad = np.empty(len(p))
             for i in range(len(p)):
                 q = np.array(p, dtype=float)
@@ -401,12 +402,12 @@ class _Infidelity:
                 q[i] += step if q[i] + step <= hi[i] else -step
                 moved = self.schedule(q)
                 h = q[i] - p[i]
-                dover = (np.vdot(dham.conj(), moved.hamiltonians() - hams)
-                         + ddur @ (moved.durations() - durations)) / (h * m)
-                grad[i] = -2.0 * (overlap.conjugate() * dover).real
+                dover = (np.vdot(dham.conj(), moved.hamiltonians() - ham)
+                         + ddur @ (moved.durations() - dur)) / (h * m)
+                grad[i] = -2.0 * (overlaps[0].conjugate() * dover).real
             return grad
 
-        return 1.0 - abs(overlap) ** 2, gradient
+        return 1.0 - np.abs(overlaps) ** 2, gradient
 
 
 def _checked_inputs(bounds, seed, tol, budget):
@@ -452,14 +453,14 @@ def calibrate_pulse(target, template, bounds, seed, tol: float = 1e-4,
     width = hi - lo
     evals = 0
 
-    def evaluate(p):
+    def evaluate(p):  # 1 - F and its gradient on the unit box, at p
         nonlocal evals
         evals += 1
-        return objective.at(p, lo, hi)
+        value, gradient = objective.at(p, lo, hi)
+        return value, lambda: _finite("gradient", np.multiply, gradient(), width)
 
     def scaled(x):  # the objective on the unit box
-        value, gradient = evaluate(np.clip(lo + width * x, lo, hi))
-        return value, lambda: gradient() * width
+        return evaluate(np.clip(lo + width * x, lo, hi))
 
     if budget:
         best, gradient = evaluate(params)
@@ -478,7 +479,7 @@ def calibrate_pulse(target, template, bounds, seed, tol: float = 1e-4,
         if best > tol * 0.1 and gradient is None and evals < budget:
             best, gradient = evaluate(params)
         if best > tol * 0.1 and gradient is not None:
-            x = _projected_bfgs(scaled, (params - lo) / width, best, gradient() * width, tol,
+            x = _projected_bfgs(scaled, (params - lo) / width, best, gradient(), tol,
                                 lambda: evals < budget)
             params = np.clip(lo + width * x, lo, hi)
 
@@ -486,6 +487,16 @@ def calibrate_pulse(target, template, bounds, seed, tol: float = 1e-4,
     achieved = 1.0 - float(objective.values(rounded[None])[0])
     return CalibrationResult(params=rounded, fidelity=achieved, iterations=evals,
                              converged=bool(1.0 - achieved <= tol))
+
+
+def _finite(what, op, *args) -> np.ndarray:
+    """``op(*args)``; ``ArithmeticError`` names ``bounds[i]`` of its first non-finite entry."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = op(*args)
+    if not np.isfinite(values).all():
+        raise ArithmeticError(f"the {what} of 1 - F scaled to bounds["
+                              f"{np.argmin(np.isfinite(values))}] is not finite")
+    return values
 
 
 def _projected_bfgs(evaluate, x, f, g, tol, affordable) -> np.ndarray:
@@ -507,7 +518,7 @@ def _projected_bfgs(evaluate, x, f, g, tol, affordable) -> np.ndarray:
             return x
         q = x.copy()
         q[j] += _HESS_STEP if x[j] + _HESS_STEP <= 1.0 else -_HESS_STEP
-        hess[:, j] = (evaluate(q)[1]() - g) / (q[j] - x[j])
+        hess[:, j] = _finite("Hessian", np.divide, evaluate(q)[1]() - g, q[j] - x[j])
     vals, vecs = np.linalg.eigh(0.5 * (hess + hess.T))
     vals = np.maximum(np.abs(vals), 1e-8 * max(np.max(np.abs(vals), initial=0.0), 1.0))
     hess = (vecs * vals) @ vecs.T

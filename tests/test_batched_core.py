@@ -144,6 +144,8 @@ def test_zero_segment_schedule_is_the_identity():
     psi0 = np.array([0.6, 0.0, 0.8j, 0.0])
     assert schedule.hamiltonians().shape == (0, 4, 4)
     assert np.array_equal(dynamics.evolve_unitary(schedule), np.eye(4))
+    batch = dynamics.evolve_unitaries(np.zeros((3, 0, 4, 4)), np.zeros(0))
+    assert np.array_equal(batch, np.broadcast_to(np.eye(4), (3, 4, 4)))
     traj = dynamics.evolve_state(schedule, psi0, 0.1)
     assert np.array_equal(traj.states, [psi0])
     assert np.array_equal(populations_at(schedule, psi0, [0.3, 0.0]),
@@ -182,7 +184,9 @@ def test_batched_sampler_matches_per_row_sampling(data):
     nested = dynamics.sample_states(hams[None], first.durations(), psi0, times)
     assert nested.shape == (1,) + states.shape
     assert np.max(np.abs(nested[0] - states)) <= 1e-12
-    for row, got in zip(rows, states):
+    units = dynamics.evolve_unitaries(hams, first.durations())
+    for row, got, unit in zip(rows, states, units):
+        assert np.max(np.abs(unit - dynamics.evolve_unitary(row))) <= 1e-12
         alone = dynamics.sample_states(row.hamiltonians(), row.durations(), psi0, times)
         assert np.max(np.abs(got - alone)) <= 1e-12
         assert np.max(np.abs(got - reference_states(row, psi0, times))) <= 1e-12

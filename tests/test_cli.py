@@ -582,6 +582,23 @@ def test_bad_time_scale_exits_2(tmp_path, capsys, recwarn, value):
     assert not (out / "manifest.json").exists()
 
 
+def test_huge_t_max_ends_in_seconds_and_writes_nothing(tmp_path):
+    """t_max 1e30 saves a frame every ~4e28 steps.  The exit test still runs once per
+    plasma period, so the solve ends soon after the fluxon exits; its one saved frame
+    gives no velocity."""
+    path = tmp_path / "tmax.json"
+    path.write_text(json.dumps({"ljj": {"t_max": 1e30}}))
+    src = str(Path(picopulse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "picopulse.cli", "shape", "--config",
+                           str(path), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 3
+    assert proc.stderr == "numeric failure: summary.json's velocity is not finite\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("axis,end", [("axis1", "stop"), ("axis2", "stop"), ("axis1", "start")])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_non_finite_axis_end_exits_2(tmp_path, capsys, recwarn, axis, end, value):
@@ -610,16 +627,28 @@ README_CAL_CFG = {"target": {"kind": "state", "name": "flip"},
 @pytest.mark.parametrize("change,field", [
     ({"bounds": [[64.0, 16.0], [5.0, 40.0]]}, "bounds[0]"),
     ({"bounds": [[16.0, 64.0], [5.0, math.inf]]}, "bounds[1]"),
+    ({"bounds": [[5.0, 1e308], [5.0, 40.0]]}, "bounds[0]"),  # 1e308 GHz is inf rad/ns
     ({"seed": [250.0, 20.0]}, "seed[0]"),
     ({"tol": -1.0}, "tol"),
     ({"tol": math.nan}, "tol"),
     ({"budget": -5}, "budget"),
-], ids=["reversed-bounds", "infinite-bound", "seed-outside", "negative-tol", "nan-tol",
-        "negative-budget"])
+], ids=["reversed-bounds", "infinite-bound", "overflowing-bound", "seed-outside", "negative-tol",
+        "nan-tol", "negative-budget"])
 def test_bad_calibration_numbers_exit_2_and_are_named(tmp_path, capsys, recwarn, change, field):
     rc, out = run(tmp_path, "calibrate", dict(README_CAL_CFG, **change), name="numbers.json")
     assert rc == 2
     assert_one_error_line(capsys, recwarn, field)
+    assert not (out / "manifest.json").exists()
+
+
+def test_calibration_overflow_exits_3_naming_the_bound(tmp_path, capsys, recwarn):
+    """A 1e308-ns duration bound overflows the search's Hessian on the unit box."""
+    cfg = dict(README_CAL_CFG, bounds=[[5.0, 64.0], [5.0, 1e308]])
+    rc, out = run(tmp_path, "calibrate", cfg, name="wide.json")
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure:") and "bounds[1]" in err[0]
+    assert not recwarn.list
     assert not (out / "manifest.json").exists()
 
 

@@ -1,4 +1,5 @@
-"""``tools/compare_outputs.py``: its number-by-number difference and one CLI run per side."""
+"""``tools/compare_outputs.py``: its number-by-number difference and one CLI run per side,
+with the manifest's ``health`` entry compared as an output."""
 
 import importlib.util
 from pathlib import Path
@@ -25,10 +26,13 @@ def test_difference(a, b, verdict):
 
 
 def test_a_failed_run_is_counted(tmp_path):
-    calls = [("ok", "ramsey", {"amplitude": 25.0, "delta": 0.25, "tau": 10.0,
-                               "tau_r": {"start": 0.0, "stop": 100.0, "count": 3}}),
+    scan = {"amplitude": 25.0, "delta": 0.25, "tau": 10.0,
+            "tau_r": {"start": 0.0, "stop": 100.0, "count": 3}}
+    calls = [("ok", "ramsey", scan),
+             ("open", "lindblad", dict(scan, gamma=0.05, gamma_phi=0.1)),
              ("bad", "ramsey", {"amplitude": 25.0})]
     lines, counts = compare_outputs.compare(ROOT, ROOT, calls, tmp_path)
-    assert lines[0] == "ok/ramsey.csv: identical"
-    assert lines[1] == "bad: FAILED base exit 2, new exit 2"
-    assert counts == {"outputs": 1, "identical": 1, "failed": 1}
+    assert lines[:3] == ["ok/ramsey.csv: identical", "open/lindblad.csv: identical",
+                         "open/manifest.json:health: identical"]
+    assert lines[3] == "bad: FAILED base exit 2, new exit 2"
+    assert counts == {"outputs": 3, "identical": 3, "failed": 1}

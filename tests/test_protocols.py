@@ -252,7 +252,7 @@ def test_adjoint_gradient_matches_central_differences(target, template, bounds, 
     lo, hi = np.array(bounds).T
     p = np.array(p)
     value, gradient = objective.at(p, lo, hi)
-    assert value == pytest.approx(objective.values([p])[0], abs=1e-14)
+    assert value == objective.values([p])[0]
     numeric = []
     for i in range(len(p)):
         h = np.zeros(len(p))

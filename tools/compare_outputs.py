@@ -7,10 +7,11 @@
 of ``bench/workloads.py`` at each ``--seed`` (default: the benchmark's
 ``DEFAULT_SEED``), both read from ``NEW``.  Each config runs once per tree as
 ``python -m picopulse.cli`` with that tree's ``src`` on ``PYTHONPATH``.  For every
-output file except ``manifest.json`` (which holds wall times) the report says
-``identical``, or gives the largest absolute difference between the numbers of
-the two files.  The exit status is 1 if any run exits non-zero on either side,
-and 0 otherwise, whatever the differences.
+output file, and for the ``health`` entry of ``manifest.json`` as
+``<call>/manifest.json:health`` (the rest of the manifest holds wall times), the
+report says ``identical``, or gives the largest absolute difference between the
+numbers of the two.  The exit status is 1 if any run exits non-zero on either
+side, and 0 otherwise, whatever the differences.
 """
 
 from __future__ import annotations
@@ -98,13 +99,20 @@ def compare(base: Path, new: Path, calls, scratch: Path) -> tuple[list[str], dic
             continue
         outs = {side: scratch / side / name / "out" for side in results}
         files = sorted({p.name for d in outs.values() for p in d.iterdir()} - {"manifest.json"})
+        verdicts = []
         for file in files:
             a, b = (outs[side] / file for side in ("base", "new"))
             if not (a.exists() and b.exists()):
                 verdict = f"only in {'base' if a.exists() else 'new'}"
             else:
                 verdict = difference(a.read_text(encoding="utf-8"), b.read_text(encoding="utf-8"))
-            lines.append(f"{name}/{file}: {verdict}")
+            verdicts.append((file, verdict))
+        health = [json.dumps(json.loads((outs[side] / "manifest.json").read_text(
+            encoding="utf-8")).get("health")) for side in ("base", "new")]
+        if health != ["null", "null"]:
+            verdicts.append(("manifest.json:health", difference(*health)))
+        for label, verdict in verdicts:
+            lines.append(f"{name}/{label}: {verdict}")
             counts["outputs"] += 1
             counts["identical"] += verdict == "identical"
     return lines, counts
