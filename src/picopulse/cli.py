@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fluxshaper, protocols
+from .core import DENSITY_EIG_TOL, DENSITY_TOL
 from .dynamics import LindbladParams
 from .units import UnitConvention
 
@@ -265,9 +266,9 @@ def cmd_lindblad(config: dict, out: Path, conv: UnitConvention) -> tuple[list[Pa
     w = finals[:, 1, 1].real
     health = {"max_trace_defect": float(np.max(np.abs(np.trace(finals, axis1=1, axis2=2) - 1))),
               "min_eigenvalue": float(np.min(np.linalg.eigvalsh(finals)))}
-    # core.check_density_matrix's tolerances; a nan fails every comparison
-    if not (np.isfinite(w).all() and health["max_trace_defect"] <= 1e-10
-            and health["min_eigenvalue"] >= -1e-8):
+    # a nan fails every comparison
+    if not (np.isfinite(w).all() and health["max_trace_defect"] <= DENSITY_TOL
+            and health["min_eigenvalue"] >= -DENSITY_EIG_TOL):
         raise ArithmeticError(f"the scan's final states are not density matrices: {health}")
     path = out / "lindblad.csv"
     _write_csv(path,

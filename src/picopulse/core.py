@@ -49,14 +49,14 @@ def _as_complex_array(x, name: str) -> np.ndarray:
     return a
 
 
-def check_state(psi, tol: float = 1e-12) -> np.ndarray:
-    """Validate a state vector (dimension 2 or 4, unit norm)."""
+def check_state(psi) -> np.ndarray:
+    """Validate a state vector (dimension 2 or 4, unit norm to 1e-12)."""
     psi = _as_complex_array(psi, "state")
     if psi.ndim != 1 or psi.shape[0] not in (2, 4):
         raise ValueError(f"state must have dimension 2 or 4, got shape {psi.shape}")
     nrm2 = float(np.vdot(psi, psi).real)
-    if abs(nrm2 - 1.0) > tol:
-        raise ValueError(f"state norm^2 = {nrm2!r} deviates from 1 beyond {tol}")
+    if abs(nrm2 - 1.0) > 1e-12:
+        raise ValueError(f"state norm^2 = {nrm2!r} deviates from 1 beyond 1e-12")
     return psi
 
 
@@ -78,14 +78,18 @@ def check_unitary(u, tol: float = 1e-10) -> np.ndarray:
     return u
 
 
-def check_density_matrix(rho, tol: float = 1e-10, eig_tol: float = 1e-8) -> np.ndarray:
+#: a density matrix's Hermiticity and trace defects, and its most negative eigenvalue
+DENSITY_TOL, DENSITY_EIG_TOL = 1e-10, 1e-8
+
+
+def check_density_matrix(rho) -> np.ndarray:
     rho = _as_complex_array(rho, "density matrix")
-    check_hermitian(rho, tol)
+    check_hermitian(rho, DENSITY_TOL)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"density matrix trace = {tr!r} deviates from 1 beyond {tol}")
+    if abs(tr - 1.0) > DENSITY_TOL:
+        raise ValueError(f"density matrix trace = {tr!r} deviates from 1 beyond {DENSITY_TOL}")
     lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -eig_tol:
+    if lo < -DENSITY_EIG_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
     return rho
 
@@ -152,22 +156,10 @@ def bloch_vector(psi) -> tuple[float, float, float]:
     return (x, y, z)
 
 
-def hermitian_eigendecomposition(h, tol: float = 1e-10):
+def hermitian_eigendecomposition(h):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
 
     Degenerate eigenvalues keep the solver ordering; the returned columns are
     orthonormal in any case.
     """
-    h = check_hermitian(h, tol=max(tol, 1e-12))
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs
-
-
-def spectral_propagators(vals, vecs, t) -> np.ndarray:
-    """``exp(-i H t) = V diag(exp(-i lambda t)) V^dag`` from an eigendecomposition.
-
-    Broadcasts over leading axes: ``vals`` has shape ``(..., d)``, ``vecs``
-    ``(..., d, d)`` and ``t`` is a scalar or has shape ``(...)``.
-    """
-    phases = np.exp(-1j * vals * np.asarray(t, dtype=float)[..., None])
-    return (vecs * phases[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    return np.linalg.eigh(check_hermitian(h, tol=1e-10))

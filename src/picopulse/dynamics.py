@@ -1,40 +1,26 @@
 """Numerical propagation over piecewise-constant control schedules.
 
 A :class:`Schedule` holds its segments as arrays, ``durations (n,)`` and
-``controls (n, 3)``; ``Schedule(delta1, segments)`` fills them from
-:class:`Segment` objects and :meth:`Schedule.from_arrays` takes them as they
-are, which is how a calibration template should build its schedules.  Segment
-Hamiltonians ``(..., n_seg, d, d)`` and durations ``(..., n_seg)``, whose
-leading axes index a batch of schedules, get one stacked ``eigh``, and
-:func:`picopulse.core.spectral_propagators` turns the eigensystems into exact
-segment propagators.  One loop steps columns of states through them in order:
-the identity for :func:`evolve_unitaries` (and its batch-of-one case
-:func:`evolve_unitary`), each initial state for the sampler and the basis states
-and costates for calibration.  One sampler serves closed and open systems:
-:func:`sample_states` and :func:`evolve_lindblad` evolve each sample time from
-the state at the start of its segment through one eigenbasis exponential,
-``exp(G dt) = left diag(exp(lambda dt)) right``, with no per-sample propagator;
-for ``G = -iH`` one stacked ``eigh`` gives ``lambda``, ``left = V`` and
-``right = V^dag``.  :func:`sample_states` takes Hamiltonians
-``(..., n_seg, d, d)`` that share durations ``(n_seg,)``, as a sweep's rows do;
-:func:`evolve_state` and ``protocols.populations_at`` are its batch-of-one case.
-One classic RK4 step, :func:`rk4_step`, drives an explicit stepper kept as an
-independent cross-check (deliberately without renormalization), a cosine-driven
-lab-frame integrator for the one genuinely time-dependent case and the amplitude
-stage's scalar phases in ``fluxshaper``.  Open-system evolution integrates the
-master equation
+``controls (n, 3)``; :meth:`Schedule.from_arrays` takes them as they are.
+Segment Hamiltonians ``(..., n_seg, d, d)``, whose leading axes index a batch of
+schedules, get one stacked ``eigh``.  One eigenbasis exponential,
+``exp(G dt) = left diag(exp(lambda dt)) right``, forms every propagator and
+sampled state, closed (``G = -iH``, ``left = V``, ``right = V^dag``) and open.
+One loop, :func:`_boundary_states`, applies segment propagators in order to
+columns of states: the identity for :func:`evolve_unitaries`, the initial state
+for :func:`sample_states` and the basis states and costates of calibration.
+:func:`rk4_step` drives an explicit stepper kept as an independent cross-check,
+a cosine-driven lab-frame integrator and the amplitude stage of ``fluxshaper``.
+Open-system evolution integrates the master equation
 
     drho/dt = i[rho, H(t)] + gamma (s- rho s+ - 1/2 {s+ s-, rho})
               + gamma_phi (sz rho sz - rho)
 
-with s+ = |1><0|, so the relaxation channel drives |1> -> |0>.  Temperature
-effects are neglected and the dissipators act at all times, including during
-pulses.  Its superoperator ``L`` is not normal, so each segment's ``L`` gets
-one ``eig`` in the Pauli basis ``P``, which keeps the trace, for the same
-exponential with ``left = P^-1 V`` and ``right = V^-1 P``; the delay scans of
-``protocols`` use it too.  That form is accurate only while ``V`` is well
-conditioned; an ``L`` whose ``cond(V)`` exceeds :data:`EIG_COND_MAX`, as near an
-exceptional point, falls back to ``scipy.linalg.expm``, imported only then.
+with s+ = |1><0|, so relaxation drives |1> -> |0>; temperature is neglected and
+the dissipators act at all times.  Each superoperator ``L`` gets one ``eig`` in
+the Pauli basis ``P``, which keeps the trace: ``left = P^-1 V`` and
+``right = V^-1 P``.  An ``L`` whose ``cond(V)`` exceeds :data:`EIG_COND_MAX`, as
+near an exceptional point, falls back to ``scipy.linalg.expm``, imported only then.
 """
 
 from __future__ import annotations
@@ -52,7 +38,6 @@ from .core import (
     check_density_matrix,
     check_state,
     hamiltonians,
-    spectral_propagators,
 )
 
 #: a sample time at most this far (ns) past a segment end is taken from that segment
@@ -206,22 +191,26 @@ _PAULI_INV = _PAULI.conj().T / 2
 def _eigenbasis_exponential(vals, left, right):
     """``exponential(ks, dts, starts=None, out=None)`` for generators ``G_k = left_k
     diag(vals_k) right_k`` from ``vals (..., n, d)``, ``left`` and ``right (..., n, d, d)``:
-    ``exp(G_k dt) (..., m, d, d)`` for each pair of ``ks`` and ``dts`` or, given the states
-    ``starts (..., n, d)`` at the segment starts, the states ``exp(G_k dt) starts_k``,
-    written into ``out (..., m, d)`` as rows ``(exp(vals_k dt) * starts_k^T right_k^T)
-    left_k^T``."""
+    ``exp(G_k dt) (..., m, d, d)`` for each pair of ``ks`` and ``dts (..., m)``, whose batch
+    axes broadcast, or, given the states ``starts (..., n, d)`` at the segment starts and
+    ``dts (m,)``, the states ``exp(G_k dt) starts_k``, written into ``out (..., m, d)`` as rows
+    ``(exp(vals_k dt) * starts_k^T right_k^T) left_k^T``.  A non-finite exponential, as from
+    an overflowing phase, raises ``ArithmeticError``."""
     left_t = np.ascontiguousarray(np.moveaxis(left, -3, 0).swapaxes(-1, -2))
     right_t = np.swapaxes(right, -1, -2)
 
     def exponential(ks, dts, starts=None, out=None):
         ks, dts = np.asarray(ks, dtype=int), np.asarray(dts, dtype=complex)
-        if out is None:
+        if starts is not None and out is None:
             out = np.empty(vals.shape[:-2] + (len(ks), vals.shape[-1]), dtype=complex)
-        np.take(vals, ks, axis=-2, out=out, mode="clip")  # "raise" copies out first
-        out *= dts[:, None]
-        np.exp(out, out=out)
+        phases = np.take(vals, ks, axis=-2, out=out, mode="clip")  # "raise" copies out first
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = np.multiply(phases, dts[..., None], out=out)
+            np.exp(phases, out=phases)
+        if not np.isfinite(phases).all():
+            raise ArithmeticError("a segment's exp(G dt) is not finite: its phases overflow")
         if starts is None:
-            return (left[..., ks, :, :] * out[..., None, :]) @ right[..., ks, :, :]
+            return (left[..., ks, :, :] * phases[..., None, :]) @ right[..., ks, :, :]
         coeffs = starts[..., None, :] @ right_t
         firsts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()
         for a, b, k in zip(firsts, firsts[1:] + [len(ks)], ks[firsts].tolist()):
@@ -231,6 +220,11 @@ def _eigenbasis_exponential(vals, left, right):
         return out
 
     return exponential
+
+
+def _unitary_exponential(vals, vecs):
+    """The eigenbasis exponential of ``G = -iH`` from ``vals, vecs = eigh(H)``."""
+    return _eigenbasis_exponential(-1j * vals, vecs, np.conj(np.swapaxes(vecs, -1, -2)))
 
 
 def _superoperator_exponentials(lops):
@@ -305,8 +299,9 @@ def evolve_unitaries(hams, durations) -> np.ndarray:
     """Ordered products ``(..., d, d)`` of exact segment propagators for
     Hamiltonians ``(..., n_seg, d, d)`` and durations ``(..., n_seg)`` >= 0, from one ``eigh``."""
     vals, vecs = np.linalg.eigh(hams)
-    steps = spectral_propagators(vals, vecs, _checked_durations(durations))
-    return _boundary_states(steps, np.eye(steps.shape[-1]))[..., -1, :, :]
+    steps = _unitary_exponential(vals, vecs)(np.arange(vals.shape[-2]),
+                                             _checked_durations(durations))
+    return _boundary_states(steps, np.eye(vals.shape[-1]))[..., -1, :, :]
 
 
 def evolve_unitary(schedule: Schedule) -> np.ndarray:
@@ -323,8 +318,7 @@ def sample_states(hams, durations, psi0, times) -> np.ndarray:
     hams, durations = np.asarray(hams), _checked_durations(durations)
     if durations.shape != hams.shape[-3:-2]:
         raise ValueError(f"durations {durations.shape} do not match Hamiltonians {hams.shape}")
-    vals, vecs = np.linalg.eigh(hams)
-    exponential = _eigenbasis_exponential(-1j * vals, vecs, np.conj(np.swapaxes(vecs, -1, -2)))
+    exponential = _unitary_exponential(*np.linalg.eigh(hams))
     return _sample(durations, np.asarray(psi0, dtype=complex), times, exponential)
 
 

@@ -100,6 +100,12 @@ class LJJConfig:
                              f"junction, between 0 and length = {self.length}")
         if self.initial_velocity is not None and abs(self.initial_velocity) >= 1.0:
             raise ValueError("initial velocity must be below the Swihart velocity (1)")
+        for name, value in (("dt", self.dt), ("t_max", self.t_max)):  # None: the default
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        if not math.isfinite(self.time_budget / self.step):
+            raise ValueError(f"the step count t_max / dt = {self.time_budget / self.step} "
+                             "is not finite")
 
     @property
     def step(self) -> float:
@@ -303,12 +309,12 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
                      charge_drift=charge_drift, exited=exited)
 
 
-def field_energy(result: LJJResult, i_b: float = 0.0) -> np.ndarray:
-    """Discrete sine-Gordon energy per saved frame (undriven convention i_b = 0)."""
+def field_energy(result: LJJResult) -> np.ndarray:
+    """Discrete sine-Gordon energy per saved frame, without the bias term."""
     dx = float(result.x[1] - result.x[0])
     phi = result.phases
     phi_x = np.gradient(phi, dx, axis=1)
-    dens = 0.5 * result.phase_rates**2 + 0.5 * phi_x**2 + (1.0 - np.cos(phi)) - i_b * phi
+    dens = 0.5 * result.phase_rates**2 + 0.5 * phi_x**2 + (1.0 - np.cos(phi))
     return np.sum(dens, axis=1) * dx
 
 
@@ -442,18 +448,17 @@ def amplitude_vs_ic1(template: InterferometerConfig, ic1_values,
     return np.array(rows)
 
 
-def waveform_segments(wave: Waveform, max_segments: int = 150,
-                      threshold: float = 1e-6) -> list[tuple[float, float]]:
+def waveform_segments(wave: Waveform, max_segments: int = 150) -> list[tuple[float, float]]:
     """Block-average a waveform into (duration, value) pairs for a schedule.
 
-    Leading and trailing samples below ``threshold`` of the peak are trimmed;
+    Leading and trailing samples below 1e-6 of the peak are trimmed;
     zero-duration output means the waveform is effectively null.
     """
     s = wave.samples
     peak = float(np.max(np.abs(s))) if len(s) else 0.0
     if peak == 0.0:
         return []
-    keep = np.nonzero(np.abs(s) >= threshold * peak)[0]
+    keep = np.nonzero(np.abs(s) >= 1e-6 * peak)[0]
     if len(keep) == 0:
         return []
     s = s[keep[0]:keep[-1] + 1]

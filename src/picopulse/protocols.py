@@ -7,11 +7,10 @@ its Hamiltonian stack from one template, in one core call: a builder's
 controls are affine in the axis1 value and its durations do not depend on it,
 so two schedules, at 0 and 1, give every row's controls, and no schedule is
 built per axis1 value.  A sampled sweep then samples all rows at every axis2
-time in one :mod:`picopulse.dynamics` call.  A three-stage sweep samples the
-kicked ground state along every amplitude's drive segment at each tau2 and
-kicks it again; each delay scan samples its pulsed state along the free segment
-at every delay the same way, and the Ramsey scan's closed form is one array
-expression.  Every cell equals an independent propagation, as the tests check.
+time in one :mod:`picopulse.dynamics` call.  The three-stage sweep and both
+delay scans share one pulse-delay-pulse helper: the pulsed ground state is
+evolved along the second segment at every delay and pulsed again.  Every cell
+equals an independent propagation, as the tests check.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .core import bloch_vector, check_state, check_unitary, spectral_propagators
+from .core import bloch_vector, check_state, check_unitary
 from .dynamics import (
     LindbladParams,
     Schedule,
@@ -30,8 +29,8 @@ from .dynamics import (
     _boundary_states,
     _checked_durations,
     _superoperator_exponentials,
+    _unitary_exponential,
     evolve_state,
-    evolve_unitaries,
     lindblad_superoperator,
     sample_states,
 )
@@ -218,17 +217,17 @@ def sweep_three_stage(spec: SweepSpec) -> SweepGrid:
     """|dd> -> |uu> map of the kick/drive/kick protocol: axis1 = drive amplitude, axis2 = tau2.
 
     The template is built at the first tau2, which validates the axis.  The
-    kicks depend on neither axis, so the kicked ground state is sampled along
-    every amplitude's drive segment at each tau2, then kicked again.
+    kicks depend on neither axis: the kicked ground state is evolved along every
+    amplitude's drive segment at each tau2, then kicked again.
     """
     f = spec.fixed
     tau2s = spec.axis2.values()
     base, hams = _axis1_hamiltonians(
         lambda a: three_stage_schedule(f["tau1"], tau2s[0], f["j"], a, a, f["delta"]),
         spec.axis1.values())
-    kick = evolve_unitaries(hams[0, :1], base.durations()[:1])
-    driven = sample_states(hams[:, 1:2], tau2s[-1:], kick[:, 0], tau2s)
-    return _grid(spec, np.abs(driven @ kick[3]) ** 2)
+    exponential = _unitary_exponential(*np.linalg.eigh(hams[:, :2]))
+    kick, driven = _delay_states(exponential, base.durations()[0], tau2s)
+    return _grid(spec, np.abs(driven @ kick[0, 3]) ** 2)
 
 
 def sweep_register_pair(spec: SweepSpec) -> tuple[SweepGrid, SweepGrid, SweepGrid, SweepGrid]:
@@ -245,31 +244,35 @@ def sweep_register_pair(spec: SweepSpec) -> tuple[SweepGrid, SweepGrid, SweepGri
 # ---------------------------------------------------------------------------
 # scans and trajectories
 
+def _delay_states(exponential, tau, delays):
+    """The pulse propagator ``exp(G_0 tau) (..., d, d)`` and the states ``(..., len(delays),
+    d)`` that basis state 0 reaches through it and then ``exp(G_1 t)`` for each delay ``t``,
+    for the ``exponential`` of a stack of two generators (pulse, free) on each batch row."""
+    delays = _checked_durations(delays)
+    pulse = exponential([0], [tau])[..., 0, :, :]
+    pulsed = np.repeat(pulse[..., None, :, 0], 2, axis=-2)  # the free segment's start
+    return pulse, exponential(np.ones(len(delays), dtype=int), delays, pulsed)
+
+
 def ramsey_delay_scan(amplitude: float, delta: float, tau: float,
                       tau_r_values) -> np.ndarray:
-    """Columns (tau_r, W_numeric, W_analytic) for equal-duration pulse pairs and delays >= 0.
-
-    As in :func:`sweep_three_stage`, the pulsed ground state is sampled along the free
-    segment at every delay and pulsed again; one array expression gives the closed form."""
-    delays = _checked_durations(tau_r_values)
-    template = pulse_pair_schedule(amplitude, tau, tau, tau, delta)
-    hams = template.hamiltonians()
-    pulse = evolve_unitaries(hams[:1], template.durations()[:1])
-    free = sample_states(hams[1:2], [np.max(delays, initial=0.0)], pulse[:, 0], delays)
+    """Columns (tau_r, W_numeric, W_analytic) for equal-duration pulse pairs and delays >= 0,
+    from one ``eigh`` of the pulse and free Hamiltonians; the closed form is one array
+    expression."""
+    hams = pulse_pair_schedule(amplitude, tau, tau, tau, delta).hamiltonians()[:2]
+    pulse, free = _delay_states(_unitary_exponential(*np.linalg.eigh(hams)), tau, tau_r_values)
+    delays = np.asarray(tau_r_values, dtype=float)
     w_ana = analytic.ramsey_probabilities_unipolar(amplitude, tau, delays, delta)
     return np.column_stack([delays, np.abs(free @ pulse[1]) ** 2, w_ana])
 
 
 def lindblad_ramsey_finals(amplitude: float, delta: float, tau: float,
                            tau_r_values, lp: LindbladParams) -> np.ndarray:
-    """The final density matrices of :func:`lindblad_ramsey_scan`, sampled as in
-    :func:`ramsey_delay_scan`, from one ``eig`` per segment superoperator."""
-    delays = _checked_durations(tau_r_values)
+    """The final density matrices of :func:`lindblad_ramsey_scan`, as in
+    :func:`ramsey_delay_scan`, from one stacked ``eig`` of the segment superoperators."""
     hams = pulse_pair_schedule(amplitude, tau, tau, tau, delta).hamiltonians()[:2]
     exponential = _superoperator_exponentials(lindblad_superoperator(hams, lp))
-    pulse = exponential([0], [tau])[0]
-    pulsed = np.broadcast_to(pulse[:, 0], (2, 4))  # |0><0| pulsed: the free segment's start
-    free = exponential(np.ones(len(delays), dtype=int), delays, pulsed)
+    pulse, free = _delay_states(exponential, tau, tau_r_values)
     return (free @ pulse.T).reshape(-1, 2, 2)
 
 
@@ -380,7 +383,7 @@ class _Infidelity:
         hams = np.array([s.hamiltonians() for s in schedules])
         durations = np.array([s.durations() for s in schedules])
         vals, vecs = np.linalg.eigh(hams)
-        steps = spectral_propagators(vals, vecs, durations)
+        steps = _unitary_exponential(vals, vecs)(np.arange(vals.shape[-2]), durations)
         m, d = self.goals.shape
         states = _boundary_states(steps, np.eye(d)[:, :m])  # (rows, n_seg + 1, d, m)
         overlaps = np.einsum("rik,ki->r", states[:, -1], self.goals.conj()) / m

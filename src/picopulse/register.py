@@ -22,11 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    hermitian_eigendecomposition,
-    make_two_qubit_hamiltonian,
-    spectral_propagators,
-)
+from .core import hermitian_eigendecomposition, make_two_qubit_hamiltonian
 
 #: hard limit on J*tau1 for the first-order kick matrix
 FIRST_ORDER_KICK_LIMIT = 0.2
@@ -103,14 +99,17 @@ def coupler_flip_probability(delta: float, j: float, tau: float,
     raise ValueError(f"unknown convention {convention!r}")
 
 
+def _evolution(vals, vecs, t: float) -> np.ndarray:
+    # this oracle's own exp(-iHt), apart from the dynamics code that it checks
+    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+
+
 def spectral_evolution_unitary(h, t: float) -> np.ndarray:
     """``U = sum_k |v_k> exp(-i lambda_k t) <v_k|`` via eigendecomposition."""
-    vals, vecs = hermitian_eigendecomposition(h)
-    return spectral_propagators(vals, vecs, t)
+    return _evolution(*hermitian_eigendecomposition(h), t)
 
 
-def coupler_kick_unitary(j: float, tau1: float, delta: float = 0.0,
-                         first_order: bool = False) -> np.ndarray:
+def coupler_kick_unitary(j: float, tau1: float, first_order: bool = False) -> np.ndarray:
     """Short coupler kick with g = J tau1 / 2.
 
     The first-order form is the identity with -i g on the antidiagonal; it is
@@ -133,7 +132,7 @@ def coupler_kick_unitary(j: float, tau1: float, delta: float = 0.0,
         u[0, 3] = u[1, 2] = u[2, 1] = u[3, 0] = anti
         return u
     # sign of J flipped so the kick expands as I - i g (sx x sx) + O(g^2)
-    h_kick = make_two_qubit_hamiltonian(delta, delta, 0.0, 0.0, -j)
+    h_kick = make_two_qubit_hamiltonian(0.0, 0.0, 0.0, 0.0, -j)
     return spectral_evolution_unitary(h_kick, tau1)
 
 
@@ -177,14 +176,12 @@ def drive_stage_unitary(delta: float, a1: float, a2: float, tau2: float) -> np.n
     """Evolution operator of the drive stage (both qubits driven, J = 0)."""
     if tau2 < 0:
         raise ValueError(f"tau2 must be >= 0, got {tau2}")
-    vals, vecs = drive_stage_eigensystem(delta, a1, a2)
-    return spectral_propagators(vals, vecs, tau2)
+    return _evolution(*drive_stage_eigensystem(delta, a1, a2), tau2)
 
 
-def three_stage_unitary(spec: ThreeStageSpec, delta: float,
-                        first_order: bool = False) -> np.ndarray:
-    """Composition U3 U2 U1 with U3 = U1 (kick, drive, kick)."""
-    u1 = coupler_kick_unitary(spec.j, spec.tau1, first_order=first_order)
+def three_stage_unitary(spec: ThreeStageSpec, delta: float) -> np.ndarray:
+    """Composition U3 U2 U1 with U3 = U1 (kick, drive, kick) and exact kicks."""
+    u1 = coupler_kick_unitary(spec.j, spec.tau1)
     u2 = drive_stage_unitary(delta, spec.a1, spec.a2, spec.tau2)
     return u1 @ u2 @ u1
 

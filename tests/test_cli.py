@@ -599,6 +599,28 @@ def test_huge_t_max_ends_in_seconds_and_writes_nothing(tmp_path):
     assert list((tmp_path / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize("field,value", [("t_max", 1e308), ("t_max", -1.0), ("t_max", 0.0),
+                                         ("dt", 0.0), ("dt", -0.01), ("dt", 5e-324)])
+def test_bad_ljj_time_step_or_budget_exits_2(tmp_path, capsys, recwarn, field, value):
+    """A non-positive t_max or dt, or one whose step count t_max / dt overflows."""
+    rc, out = run(tmp_path, "shape", {"ljj": {field: value}}, name="steps.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, field)
+    assert not (out / "manifest.json").exists()
+
+
+def test_non_finite_phase_exits_3_and_writes_nothing(tmp_path, capsys, recwarn):
+    """A 1e300-GHz amplitude over 1e12 ps overflows the segment phases."""
+    cfg = dict(SWEEP_CFG, axis1=dict(SWEEP_CFG["axis1"], stop=1e300),
+               axis2=dict(SWEEP_CFG["axis2"], stop=1e12), fixed={"delta": 0.25, "tau": 1e12})
+    rc, out = run(tmp_path, "sweep", cfg, name="phase.json")
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure:") and "exp(G dt)" in err[0]
+    assert not recwarn.list
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("axis,end", [("axis1", "stop"), ("axis2", "stop"), ("axis1", "start")])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_non_finite_axis_end_exits_2(tmp_path, capsys, recwarn, axis, end, value):

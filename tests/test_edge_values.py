@@ -1,0 +1,111 @@
+"""Edge values through the fast CLI commands.
+
+Each case starts from one small valid config and sets one numeric leaf at a time
+to an edge value: a count or ``budget`` to -1, 0, 1 or 2, any other number to
+NaN, +-inf, -1, 0, 5e-324, 1e6, 1e30 or 1e308.  Every run must exit 0 with
+finite outputs (grid cells and W in [0, 1]), or exit 2 or 3; none may raise,
+and the suite turns a RuntimeWarning into an error.  ``shape`` and ``demo`` are
+left to their own tests: each of their LJJ solves takes 0.1-0.7 s.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from picopulse.cli import main
+
+AXIS1 = {"name": "a", "start": 0.5, "stop": 20.0, "count": 3}
+AXIS2 = {"name": "t", "start": 5.0, "stop": 150.0, "count": 4}
+DELAYS = {"start": 0.0, "stop": 4000.0, "count": 3}
+RAMSEY = {"amplitude": 25.0, "delta": 0.25, "tau": 10.0, "tau_r": DELAYS}
+
+CASES = {
+    "single": ("sweep", {"kind": "single", "axis1": AXIS1, "axis2": AXIS2,
+                         "fixed": {"delta": 0.25, "tau": 100.0}}),
+    "pair": ("sweep", {"kind": "pair", "axis1": AXIS1, "axis2": AXIS2,
+                       "fixed": {"delta": 0.25, "tau1": 20.0, "tau2": 20.0, "tau_r": 50.0}}),
+    "coupler": ("sweep", {"kind": "coupler", "axis1": AXIS1, "axis2": AXIS2,
+                          "fixed": {"delta": 0.25, "tau": 100.0}}),
+    "three-stage": ("sweep", {"kind": "three-stage", "axis1": AXIS1, "axis2": AXIS2,
+                              "fixed": {"delta": 0.25, "j": 0.5, "tau1": 20.0}}),
+    "register-pair": ("sweep", {"kind": "register-pair", "axis1": AXIS1, "axis2": AXIS2,
+                                "fixed": {"delta1": 0.25, "delta2": 0.3, "j": 0.05,
+                                          "tau1": 20.0, "tau2": 20.0, "tau_r": 50.0}}),
+    "ramsey": ("ramsey", RAMSEY),
+    "lindblad": ("lindblad", {**RAMSEY, "gamma": 0.05, "gamma_phi": 0.1}),
+    "calibrate": ("calibrate", {"target": {"kind": "state", "name": "flip"},
+                                "template": {"type": "single-pulse", "delta": 0.25},
+                                "bounds": [[16.0, 64.0], [5.0, 40.0]], "seed": [25.0, 20.0],
+                                "tol": 1e-4, "budget": 20}),
+}
+
+NUMBERS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e6, 1e30, 1e308]
+COUNTS = [-1, 0, 1, 2]
+
+
+def leaves(config, path=()):
+    """The path of every numeric leaf of a config, through objects and lists."""
+    items = config.items() if isinstance(config, dict) else enumerate(config)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from leaves(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+def with_leaf(config, path, value):
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return config
+
+
+def output_problems(out):
+    """What is wrong with a successful run's outputs: a non-finite number, or a grid cell
+    or W outside [0, 1]."""
+    problems = []
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            rows = [line.split(",") for line in path.read_text().splitlines()
+                    if not line.startswith("#")][1:]  # the header names the columns
+            values = np.array(rows, dtype=float)
+            probabilities = values[:, 1:]  # after the axis1 value or the delay
+        elif path.name == "calibration.json":
+            payload = json.loads(path.read_text())
+            values = np.array(payload["params"] + [payload["fidelity"]])
+            probabilities = values[-1:]
+        else:
+            continue
+        if not np.isfinite(values).all():
+            problems.append(f"{path.name} is not finite")
+        elif not ((probabilities >= -1e-12) & (probabilities <= 1 + 1e-12)).all():
+            problems.append(f"{path.name} leaves [0, 1]")
+    return problems
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_edge_values_exit_cleanly(tmp_path, capsys, case):
+    command, base = CASES[case]
+    runs = [(path, value) for path in leaves(base)
+            for value in (COUNTS if path[-1] in ("count", "budget") else NUMBERS)]
+    failures = []
+    for i, (path, value) in enumerate(runs):
+        where = f"{'.'.join(map(str, path))} = {value}"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(with_leaf(base, path, value)))
+        out = tmp_path / f"out{i}"
+        try:
+            rc = main([command, "--config", str(config), "--out", str(out)])
+        except Exception as exc:  # a RuntimeWarning too: the suite makes it an error
+            failures.append(f"{where}: raised {exc!r}")
+            continue
+        if rc == 0:
+            failures.extend(f"{where}: {p}" for p in output_problems(out))
+        elif rc not in (2, 3):
+            failures.append(f"{where}: exit {rc}")
+    capsys.readouterr()
+    assert len(runs) > 40 and not failures, "\n".join(failures)
