@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fluxshaper, protocols
+from . import __version__, protocols
 from .core import DENSITY_EIG_TOL, DENSITY_TOL
 from .dynamics import LindbladParams
 from .units import UnitConvention
@@ -92,12 +92,6 @@ _TEMPLATES = {
                      "tol": Opt(float, 1e-4), "budget": Opt(int, 4000)},
     "shaped-demo": {"template": {"type": str, "delta": FREQ, "j": Opt(FREQ, 0.0)}},
 }
-
-# normalized circuit units, and internal units for the two scales: nothing is converted
-_SHAPE = {"ljj": Opt(fluxshaper.LJJConfig, fluxshaper.LJJConfig()),
-          "amp": Opt(fluxshaper.InterferometerConfig, fluxshaper.InterferometerConfig()),
-          "energy_scale": Opt(float, 1.0), "time_scale": Opt(float, 1.0),
-          "bias_sweep": Opt(Items(float), None)}
 
 _DEMO = {"target": str, "delta": Opt(FREQ, math.tau * 0.25), "j": Opt(FREQ, 0.0)}
 
@@ -175,13 +169,22 @@ def _select(raw, key: str, table: dict, where: str) -> str:
     return value
 
 
+_CSV_BLOCK = 4096  # cells whose texts are held at once
+
+
 def _write_csv(path: Path, comments: list[str], header: list[str],
                rows) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in np.asarray(rows, dtype=float).tolist():
-        lines.append(",".join(map(repr, row)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = np.ascontiguousarray(rows, dtype=float)
+    block = max(1, _CSV_BLOCK // max(1, rows.shape[-1]))
+    with path.open("w", encoding="utf-8") as f:
+        f.write("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n")
+        for start in range(0, len(rows), block):
+            # each distinct value of a block, told apart by its bits (-0.0 is not 0.0),
+            # is formatted once
+            part = rows[start:start + block]
+            bits, index = np.unique(part.view(np.uint64), return_inverse=True)
+            texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+            f.write("\n".join(map(",".join, texts[index.reshape(part.shape)].tolist())) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> Path:
@@ -287,12 +290,14 @@ def _calibration_target(raw: dict, dimension: int):
     if raw["name"] is not None and raw["vector"] is not None:
         raise ConfigError("target.name and target.vector are exclusive; give one of them")
     if raw["name"] is not None:
-        named = {"flip": np.array([0.0, 1.0], dtype=complex),
-                 "inversion": fluxshaper.target_state("inversion"),
-                 "entangled": fluxshaper.target_state("entangled")}
-        if raw["name"] not in named:
+        if raw["name"] == "flip":
+            state = np.array([0.0, 1.0], dtype=complex)
+        elif raw["name"] in ("inversion", "entangled"):  # the register targets
+            from . import fluxshaper
+            state = fluxshaper.target_state(raw["name"])
+        else:
             raise ConfigError(f"unknown target name {raw['name']!r}")
-        state, where = named[raw["name"]], "target.name"
+        where = "target.name"
     elif raw["vector"] is None:
         raise ConfigError("missing field 'vector' in target")
     else:
@@ -317,6 +322,7 @@ def cmd_calibrate(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
     delta = cfg["template"]["delta"]
 
     if ttype == "shaped-demo":
+        from . import fluxshaper
         result = fluxshaper.end_to_end_demo(name, delta=delta, j=cfg["template"]["j"])
         payload = _calibration_json(result, target=name)
     else:
@@ -330,7 +336,13 @@ def cmd_calibrate(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
 
 
 def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
-    cfg = _read(config, _SHAPE, conv)
+    from . import fluxshaper
+    # normalized circuit units, and internal units for the two scales: nothing is converted
+    cfg = _read(config, {
+        "ljj": Opt(fluxshaper.LJJConfig, fluxshaper.LJJConfig()),
+        "amp": Opt(fluxshaper.InterferometerConfig, fluxshaper.InterferometerConfig()),
+        "energy_scale": Opt(float, 1.0), "time_scale": Opt(float, 1.0),
+        "bias_sweep": Opt(Items(float), None)}, conv)
     ljj = cfg["ljj"]
     for i, bias in enumerate(cfg["bias_sweep"] or ()):  # each bias is a valid LJJ run
         try:
@@ -361,6 +373,7 @@ def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
 
 
 def cmd_demo(config: dict, out: Path, conv: UnitConvention) -> tuple[list[Path], dict]:
+    from . import fluxshaper
     cfg = _read(config, _DEMO, conv)
     name = cfg["target"]
     if name not in ("inversion", "entangled"):

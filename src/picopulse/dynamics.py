@@ -45,6 +45,9 @@ BOUNDARY_TOL = 1e-12
 #: a Lindblad superoperator whose eigenvector matrix has a larger condition number is
 #: exponentiated by ``scipy.linalg.expm`` instead of from its eigensystem
 EIG_COND_MAX = 1e3
+#: a segment phase ``|Im(lambda) dt|`` (rad) past this, ~4.5e9, is not resolved modulo
+#: 2 pi: its rounding error ``|phase| eps`` would pass 1e-6
+PHASE_MAX = 1e-6 / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -194,8 +197,8 @@ def _eigenbasis_exponential(vals, left, right):
     ``exp(G_k dt) (..., m, d, d)`` for each pair of ``ks`` and ``dts (..., m)``, whose batch
     axes broadcast, or, given the states ``starts (..., n, d)`` at the segment starts and
     ``dts (m,)``, the states ``exp(G_k dt) starts_k``, written into ``out (..., m, d)`` as rows
-    ``(exp(vals_k dt) * starts_k^T right_k^T) left_k^T``.  A non-finite exponential, as from
-    an overflowing phase, raises ``ArithmeticError``."""
+    ``(exp(vals_k dt) * starts_k^T right_k^T) left_k^T``.  A phase ``|Im(vals_k) dt|`` past
+    :data:`PHASE_MAX`, or a non-finite exponential, raises ``ArithmeticError``."""
     left_t = np.ascontiguousarray(np.moveaxis(left, -3, 0).swapaxes(-1, -2))
     right_t = np.swapaxes(right, -1, -2)
 
@@ -206,6 +209,10 @@ def _eigenbasis_exponential(vals, left, right):
         phases = np.take(vals, ks, axis=-2, out=out, mode="clip")  # "raise" copies out first
         with np.errstate(over="ignore", invalid="ignore"):
             phases = np.multiply(phases, dts[..., None], out=out)
+            largest = max(np.max(phases.imag, initial=0.0), -np.min(phases.imag, initial=0.0))
+            if largest > PHASE_MAX:
+                raise ArithmeticError(f"a segment's exp(G dt) is not resolved: its phase "
+                                      f"reaches {largest:.3g} rad, past {PHASE_MAX:.3g}")
             np.exp(phases, out=phases)
         if not np.isfinite(phases).all():
             raise ArithmeticError("a segment's exp(G dt) is not finite: its phases overflow")

@@ -35,6 +35,8 @@ from .dynamics import (
     sample_states,
 )
 
+GRID_TOL = 1e-12  # how far rounding may carry a probability outside [0, 1]
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -80,7 +82,7 @@ class SweepGrid:
     def __post_init__(self):
         if self.values.shape != (self.axis1.count, self.axis2.count):
             raise ValueError("grid shape does not match axes")
-        if np.any(self.values < -1e-12) or np.any(self.values > 1.0 + 1e-12):
+        if np.any(self.values < -GRID_TOL) or np.any(self.values > 1.0 + GRID_TOL):
             raise ValueError("grid values must lie in [0, 1]")
 
 
@@ -156,7 +158,13 @@ def populations_at(schedule: Schedule, psi0: np.ndarray, times: np.ndarray) -> n
     return np.abs(sample_states(schedule.hamiltonians(), schedule.durations(), psi0, times)) ** 2
 
 
-def _grid(spec: SweepSpec, values: np.ndarray, **meta) -> SweepGrid:
+def _grid(spec: SweepSpec, kind: str, values: np.ndarray, **meta) -> SweepGrid:
+    """The grid of ``values`` clipped to [0, 1], after an ``ArithmeticError`` that names the
+    sweep ``kind`` if a value is not finite or lies further outside than ``GRID_TOL``."""
+    lo, hi = float(np.min(values)), float(np.max(values))  # a nan propagates to both
+    if not (-GRID_TOL <= lo and hi <= 1.0 + GRID_TOL):
+        raise ArithmeticError(f"the {kind} sweep's probabilities span [{lo}, {hi}], "
+                              "not [0, 1]")
     return SweepGrid(spec.axis1, spec.axis2, np.clip(values, 0.0, 1.0),
                      meta={**spec.fixed, **meta})
 
@@ -194,7 +202,7 @@ def sweep_single_pulse(spec: SweepSpec) -> SweepGrid:
     f, k = spec.fixed, spec.observable
     pops = _sampled_populations(
         spec, lambda a, tail: single_pulse_schedule(a, f["tau"], f["delta"], tail=tail))
-    return _grid(spec, pops[:, :, k], observable=k)
+    return _grid(spec, "single", pops[:, :, k], observable=k)
 
 
 def sweep_pulse_pair(spec: SweepSpec) -> SweepGrid:
@@ -202,7 +210,7 @@ def sweep_pulse_pair(spec: SweepSpec) -> SweepGrid:
     f, k = spec.fixed, spec.observable
     pops = _sampled_populations(spec, lambda a, tail: pulse_pair_schedule(
         a, f["tau1"], f["tau2"], f["tau_r"], f["delta"], tail=tail))
-    return _grid(spec, pops[:, :, k], observable=k)
+    return _grid(spec, "pair", pops[:, :, k], observable=k)
 
 
 def sweep_coupler_pulse(spec: SweepSpec) -> SweepGrid:
@@ -210,7 +218,7 @@ def sweep_coupler_pulse(spec: SweepSpec) -> SweepGrid:
     f = spec.fixed
     pops = _sampled_populations(
         spec, lambda j, tail: coupler_pulse_schedule(f["delta"], j, f["tau"], tail=tail))
-    return _grid(spec, pops[:, :, 3])
+    return _grid(spec, "coupler", pops[:, :, 3])
 
 
 def sweep_three_stage(spec: SweepSpec) -> SweepGrid:
@@ -227,7 +235,7 @@ def sweep_three_stage(spec: SweepSpec) -> SweepGrid:
         spec.axis1.values())
     exponential = _unitary_exponential(*np.linalg.eigh(hams[:, :2]))
     kick, driven = _delay_states(exponential, base.durations()[0], tau2s)
-    return _grid(spec, np.abs(driven @ kick[0, 3]) ** 2)
+    return _grid(spec, "three-stage", np.abs(driven @ kick[0, 3]) ** 2)
 
 
 def sweep_register_pair(spec: SweepSpec) -> tuple[SweepGrid, SweepGrid, SweepGrid, SweepGrid]:
@@ -238,7 +246,7 @@ def sweep_register_pair(spec: SweepSpec) -> tuple[SweepGrid, SweepGrid, SweepGri
     f = spec.fixed
     pops = _sampled_populations(spec, lambda a, tail: register_pair_schedule(
         f["delta1"], f["delta2"], f["j"], a, a, f["tau1"], f["tau2"], f["tau_r"], tail=tail))
-    return tuple(_grid(spec, pops[:, :, b], basis_index=b) for b in range(4))
+    return tuple(_grid(spec, "register-pair", pops[:, :, b], basis_index=b) for b in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +482,10 @@ def calibrate_pulse(target, template, bounds, seed, tol: float = 1e-4,
                 break
             rows = np.repeat(params[None], _COARSE_POINTS, axis=0)
             rows[:, i] = np.linspace(lo[i], hi[i], _COARSE_POINTS)
-            values = objective.values(rows)
+            try:
+                values = objective.values(rows)
+            except ArithmeticError as exc:
+                raise ArithmeticError(f"the coarse scan over bounds[{i}]: {exc}") from exc
             evals += _COARSE_POINTS
             k = int(np.argmin(values))
             if values[k] < best:

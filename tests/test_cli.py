@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import picopulse
 from picopulse import cli, fluxshaper, protocols
@@ -152,6 +154,24 @@ def test_lindblad_overflow_exits_3(tmp_path):
     assert proc.returncode == 3
     assert "numeric failure" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out" / "lindblad.csv").exists()
+
+
+def test_sweep_and_ramsey_leave_out_fluxshaper(tmp_path):
+    """Only ``shape``, ``demo`` and ``calibrate``'s register targets import fluxshaper."""
+    for name, config in (("sweep", SWEEP_CFG), ("ramsey", RAMSEY_CFG)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    src = str(Path(picopulse.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; from picopulse.cli import main; d = sys.argv[1]; "
+            "rcs = [main([c, '--config', f'{d}/{c}.json', '--out', f'{d}/{c}']) "
+            "for c in ('sweep', 'ramsey')]; "
+            "print(rcs, 'picopulse.fluxshaper' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0] False"
+    assert (tmp_path / "sweep" / "grid.csv").exists()
+    assert (tmp_path / "ramsey" / "ramsey.csv").exists()
 
 
 @pytest.mark.parametrize("defect", ["nan", "trace", "eigenvalue"])
@@ -664,7 +684,7 @@ def test_bad_calibration_numbers_exit_2_and_are_named(tmp_path, capsys, recwarn,
 
 
 def test_calibration_overflow_exits_3_naming_the_bound(tmp_path, capsys, recwarn):
-    """A 1e308-ns duration bound overflows the search's Hessian on the unit box."""
+    """A 1e308-ns duration bound takes the coarse scan's phases past dynamics.PHASE_MAX."""
     cfg = dict(README_CAL_CFG, bounds=[[5.0, 64.0], [5.0, 1e308]])
     rc, out = run(tmp_path, "calibrate", cfg, name="wide.json")
     assert rc == 3
@@ -672,6 +692,41 @@ def test_calibration_overflow_exits_3_naming_the_bound(tmp_path, capsys, recwarn
     assert len(err) == 1 and err[0].startswith("numeric failure:") and "bounds[1]" in err[0]
     assert not recwarn.list
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("lindblad", dict(RAMSEY_CFG, amplitude=1e18, gamma=0.05, gamma_phi=0.1)),
+    ("sweep", dict(SWEEP_CFG, axis1=dict(SWEEP_CFG["axis1"], stop=1e150))),
+    ("calibrate", dict(README_CAL_CFG, bounds=[[16.0, 64.0], [5.0, 1e300]])),
+], ids=["lindblad", "sweep", "calibrate"])
+def test_unresolved_phase_exits_3_and_writes_nothing(tmp_path, capsys, recwarn, command,
+                                                      config):
+    """A finite phase past dynamics.PHASE_MAX, which float64 cannot resolve modulo 2 pi."""
+    rc, out = run(tmp_path, command, config, name="phase.json")
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure:") and "not resolved" in err[0]
+    assert command != "calibrate" or "bounds[1]" in err[0]
+    assert not recwarn.list
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cell", [math.nan, 1.0 + 1e-9])
+def test_grid_cell_outside_0_1_exits_3_and_writes_no_grid(tmp_path, capsys, monkeypatch, cell):
+    """The range check sees the grid before it is clipped to [0, 1]."""
+    sampled = protocols._sampled_populations
+
+    def spoiled(*args):
+        pops = sampled(*args)
+        pops[2, 3, 0] = cell
+        return pops
+
+    monkeypatch.setattr(protocols, "_sampled_populations", spoiled)
+    rc, out = run(tmp_path, "sweep", SWEEP_CFG, name="cell.json")
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: the single sweep's")
+    assert not (out / "grid.csv").exists()
 
 
 def test_benchmark_warm_up_calibration_exits_0_within_its_budget(tmp_path):
@@ -823,3 +878,37 @@ def test_target_with_name_and_vector_exits_2(tmp_path, capsys, recwarn, monkeypa
     assert rc == 2
     assert_one_error_line(capsys, recwarn, "target.name and target.vector")
     assert not (out / "manifest.json").exists()
+
+
+# one repr per distinct value: signed zeros, NaN payloads, subnormals and the
+# shortest-repr boundaries near 1e-4 and 1e16
+CSV_VALUES = [0.0, -0.0, math.nan, *np.array([0x7FF8000000000001, 0xFFF0000000000001],
+                                             dtype=np.uint64).view(float).tolist(),
+              math.inf, -math.inf, 5e-324, 1e-5, 1e-4, 1e16, 9999999999999998.0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(0, 3), (1, 1), (5000, 1), (3, 5000), (40, 121)]),
+       seed=st.integers(0, 2**32 - 1), extra=st.lists(st.floats(), max_size=6))
+def test_write_csv_writes_repr_of_every_cell(tmp_path_factory, shape, seed, extra):
+    """Byte for byte what ``repr`` of every cell gives; (5000, 1) spans two blocks."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([CSV_VALUES, extra, rng.standard_normal(6),
+                           rng.integers(0, 2**64, 6, dtype=np.uint64).view(float)])
+    rows = rng.choice(pool, size=shape)
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    cli._write_csv(path, ["c"], ["h"], rows)
+    body = "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist())
+    assert path.read_bytes() == ("# c\nh\n" + body).encode()
+
+
+def test_write_csv_holds_one_block_of_texts(tmp_path):
+    """A 240 x 121 grid peaks under 1 MB; holding the whole file's texts took ~1.7 MB."""
+    rows = np.random.default_rng(0).random((240, 121))
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "grid.csv", ["c"], ["a"] * 121, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

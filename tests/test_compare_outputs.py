@@ -18,6 +18,7 @@ spec.loader.exec_module(compare_outputs)
     ("t,W\n0.0,0.5\n", "t,W\n0.0,0.5000000000000001\n", "max abs difference 1.11e-16"),
     ('{"v": NaN, "d": -2e-05}', '{"v": NaN, "d": -3e-05}', "max abs difference 1e-05"),
     ('{"v": 1.0}', '{"v": Infinity}', "max abs difference inf"),
+    ("t,W\n0.0,-0.0\n", "t,W\n0.0,0.0\n", "sign of zero differs"),
     ("t,W\n0.0,0.5\n", "t,P\n0.0,0.5\n", "text differs"),
     ("0.0,0.5\n", "0.0,0.5\n1.0,0.5\n", "text differs"),
 ])

@@ -9,9 +9,10 @@ of ``bench/workloads.py`` at each ``--seed`` (default: the benchmark's
 ``python -m picopulse.cli`` with that tree's ``src`` on ``PYTHONPATH``.  For every
 output file, and for the ``health`` entry of ``manifest.json`` as
 ``<call>/manifest.json:health`` (the rest of the manifest holds wall times), the
-report says ``identical``, or gives the largest absolute difference between the
-numbers of the two.  The exit status is 1 if any run exits non-zero on either
-side, and 0 otherwise, whatever the differences.
+report says ``identical``, gives the largest absolute difference between the
+numbers of the two, or says that only the sign of a zero differs.  The exit
+status is 1 if any run exits non-zero on either side, and 0 otherwise, whatever
+the differences.
 """
 
 from __future__ import annotations
@@ -73,11 +74,15 @@ def difference(a: str, b: str) -> str:
     texts_a, texts_b = NUMBER.split(a), NUMBER.split(b)
     if texts_a != texts_b:
         return "text differs"
-    worst = 0.0
+    worst, signed_zeros = 0.0, False
     for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
         x, y = float(x.replace("Infinity", "inf")), float(y.replace("Infinity", "inf"))
         if x != y and not (math.isnan(x) and math.isnan(y)):
             worst = max(worst, abs(x - y) if math.isfinite(x - y) else math.inf)
+        elif x == y == 0 and math.copysign(1.0, x) != math.copysign(1.0, y):
+            signed_zeros = True
+    if worst == 0 and signed_zeros:
+        return "sign of zero differs"
     return f"max abs difference {worst:.3g}"
 
 
