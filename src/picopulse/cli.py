@@ -90,7 +90,6 @@ _TEMPLATES = {
     "single-pulse": {"template": {"type": str, "delta": FREQ},
                      "bounds": [[FREQ, FREQ], [TIME, TIME]], "seed": [FREQ, TIME],
                      "tol": Opt(float, 1e-4), "budget": Opt(int, 4000)},
-    "shaped-demo": {"template": {"type": str, "delta": FREQ, "j": Opt(FREQ, 0.0)}},
 }
 
 _DEMO = {"target": str, "delta": Opt(FREQ, math.tau * 0.25), "j": Opt(FREQ, 0.0)}
@@ -282,57 +281,45 @@ def cmd_lindblad(config: dict, out: Path, conv: UnitConvention) -> tuple[list[Pa
     return [path], {"health": health}
 
 
-def _calibration_target(raw: dict, dimension: int):
-    """The normalized target state, checked against the template's ``dimension``."""
+def _calibration_target(raw: dict):
+    """The normalized two-level target state."""
     if raw["kind"] != "state":
         raise ConfigError(f"unsupported target kind {raw['kind']!r}; only 'state' "
                           "targets are accepted from configs")
     if raw["name"] is not None and raw["vector"] is not None:
         raise ConfigError("target.name and target.vector are exclusive; give one of them")
     if raw["name"] is not None:
-        if raw["name"] == "flip":
-            state = np.array([0.0, 1.0], dtype=complex)
-        elif raw["name"] in ("inversion", "entangled"):  # the register targets
-            from . import fluxshaper
-            state = fluxshaper.target_state(raw["name"])
-        else:
+        if raw["name"] != "flip":
             raise ConfigError(f"unknown target name {raw['name']!r}")
-        where = "target.name"
-    elif raw["vector"] is None:
+        return ("state", np.array([0.0, 1.0], dtype=complex))
+    if raw["vector"] is None:
         raise ConfigError("missing field 'vector' in target")
-    else:
-        state, where = np.array(raw["vector"], dtype=complex), "target.vector"
-        norm = np.linalg.norm(state)
-        if not 0 < norm < math.inf:
-            raise ConfigError(f"target.vector must have a finite, non-zero norm, got {norm}")
-        state = state / norm
-    if len(state) != dimension:
-        raise ConfigError(f"{where} has {len(state)} entries, but the template's states "
-                          f"have {dimension}")
-    return ("state", state)
+    state = np.array(raw["vector"], dtype=complex)
+    norm = np.linalg.norm(state)
+    if not 0 < norm < math.inf:
+        raise ConfigError(f"target.vector must have a finite, non-zero norm, got {norm}")
+    if len(state) != 2:
+        raise ConfigError(f"target.vector has {len(state)} entries, but the template's "
+                          "states have 2")
+    return ("state", state / norm)
 
 
 def cmd_calibrate(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
     ttype = _select(config.get("template"), "type", _TEMPLATES, "template type")
     cfg = _read(config, {"target": _TARGET, **_TEMPLATES[ttype]}, conv)
-    name = cfg["target"]["name"]
-    if ttype == "shaped-demo" and name is None:
-        raise ConfigError("missing field 'name' in target")
-    target = _calibration_target(cfg["target"], 2 if ttype == "single-pulse" else 4)
+    target = _calibration_target(cfg["target"])
     delta = cfg["template"]["delta"]
 
-    if ttype == "shaped-demo":
-        from . import fluxshaper
-        result = fluxshaper.end_to_end_demo(name, delta=delta, j=cfg["template"]["j"])
-        payload = _calibration_json(result, target=name)
-    else:
-        def template(p):
-            return protocols.single_pulse_schedule(p[0], p[1], delta)
+    def template(p):
+        return protocols.single_pulse_schedule(p[0], p[1], delta)
 
-        result = protocols.calibrate_pulse(target, template, cfg["bounds"], cfg["seed"],
-                                           tol=cfg["tol"], budget=cfg["budget"])
-        payload = _calibration_json(result)
-    return [_write_json(out / "calibration.json", payload)]
+    result = protocols.calibrate_pulse(target, template, cfg["bounds"], cfg["seed"],
+                                       tol=cfg["tol"], budget=cfg["budget"])
+    return [_write_json(out / "calibration.json", _calibration_json(result))]
+
+
+# a topological charge farther than this from 1 is not one fluxon
+CHARGE_DRIFT_MAX = 0.5
 
 
 def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
@@ -357,6 +344,9 @@ def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
     bad = [k for k, v in summary.items() if not math.isfinite(v)]
     if bad:
         raise ArithmeticError(f"summary.json's {', '.join(bad)} is not finite")
+    if summary["charge_drift"] > CHARGE_DRIFT_MAX:
+        raise ArithmeticError(f"charge_drift = {summary['charge_drift']:.3g} exceeds "
+                              f"{CHARGE_DRIFT_MAX}: the junction no longer holds one fluxon")
     path = out / "waveform.csv"
     _write_csv(path, [f"stage = {wave.meta.get('stage')}",
                       f"config = {wave.meta.get('config')}"],

@@ -157,7 +157,7 @@ def test_lindblad_overflow_exits_3(tmp_path):
 
 
 def test_sweep_and_ramsey_leave_out_fluxshaper(tmp_path):
-    """Only ``shape``, ``demo`` and ``calibrate``'s register targets import fluxshaper."""
+    """Only ``shape`` and ``demo`` import fluxshaper."""
     for name, config in (("sweep", SWEEP_CFG), ("ramsey", RAMSEY_CFG)):
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
     src = str(Path(picopulse.__file__).resolve().parents[1])
@@ -340,6 +340,17 @@ def test_shape_summary_reports_fluxon_health(tmp_path):
     assert summary["charge_drift"] < 1e-2
 
 
+def test_shape_whose_charge_breaks_exits_3_and_writes_nothing(tmp_path, capsys):
+    """Near the critical bias and undamped, the junction holds more than one fluxon:
+    the charge drifts by about 11.6."""
+    rc, out = run(tmp_path, "shape", {"ljj": {"i_b": 0.95, "alpha": 0.0}}, name="charge.json")
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: charge_drift = ")
+    assert f"exceeds {cli.CHARGE_DRIFT_MAX}" in err[0]
+    assert list(out.iterdir()) == []
+
+
 def both_conventions(spec):
     """(cyclic, angular) configs from ``spec``, whose (value, unit) leaves are
     GHz or ps values; angular values are 2*pi*f rad/ns and t*1e-3 ns."""
@@ -398,9 +409,6 @@ CONVENTION_CASES = [
                  id="calibrate-single-pulse"),
     pytest.param("shape", {"ljj": {"i_b": 0.2}, "amp": {"ic1": 0.7}, "bias_sweep": [0.3, 0.5]},
                  id="shape"),
-    pytest.param("calibrate", {"target": {"kind": "state", "name": "inversion"},
-                               "template": {"type": "shaped-demo", "delta": DELTA, "j": J}},
-                 marks=pytest.mark.slow, id="calibrate-shaped-demo"),
     pytest.param("demo", {"target": "inversion", "delta": DELTA, "j": J},
                  marks=pytest.mark.slow, id="demo"),
 ]
@@ -445,21 +453,6 @@ def test_unknown_key_exits_2_and_is_named(tmp_path, capsys, command, config, key
     rc, _ = run(tmp_path, command, config, name="unknown.json")
     assert rc == 2
     assert key in capsys.readouterr().err
-
-
-@pytest.mark.slow
-def test_demo_and_shaped_demo_calibration_report_the_same_payload(tmp_path):
-    rc, demo = run(tmp_path, "demo", {"target": "inversion", "delta": 0.25, "j": 0.05},
-                   name="demo.json")
-    assert rc == 0
-    rc, cal = run(tmp_path, "calibrate",
-                  {"target": {"kind": "state", "name": "inversion"},
-                   "template": {"type": "shaped-demo", "delta": 0.25, "j": 0.05}},
-                  name="shaped.json")
-    assert rc == 0
-    payload = json.loads((demo / "demo.json").read_text())
-    assert payload["iterations"] > 0
-    assert (cal / "calibration.json").read_bytes() == (demo / "demo.json").read_bytes()
 
 
 @pytest.mark.parametrize("command,config,key", [
@@ -854,7 +847,6 @@ def test_out_of_range_bias_exits_2_before_any_solve(tmp_path, capsys, recwarn, m
 @pytest.mark.parametrize("target,field,length", [
     ({"kind": "state", "vector": [1, 0, 0, 0]}, "target.vector", 4),
     ({"kind": "state", "vector": [1]}, "target.vector", 1),
-    ({"kind": "state", "name": "inversion"}, "target.name", 4),
 ])
 def test_target_of_the_wrong_dimension_is_named(tmp_path, capsys, recwarn, monkeypatch,
                                                 target, field, length):
@@ -866,17 +858,34 @@ def test_target_of_the_wrong_dimension_is_named(tmp_path, capsys, recwarn, monke
                                            "template's states have 2")
 
 
-@pytest.mark.parametrize("template", ["single-pulse", "shaped-demo"])
-def test_target_with_name_and_vector_exits_2(tmp_path, capsys, recwarn, monkeypatch, template):
+@pytest.mark.parametrize("name", ["inversion", "entangled"])
+def test_register_target_name_exits_2(tmp_path, capsys, recwarn, monkeypatch, name):
+    """The register states are ``demo`` targets; ``calibrate`` states have two entries."""
     monkeypatch.setattr(protocols, "calibrate_pulse", no_solve)
-    monkeypatch.setattr(fluxshaper, "end_to_end_demo", no_solve)
+    rc, out = run(tmp_path, "calibrate", dict(CAL_CFG, target={"kind": "state", "name": name}),
+                  name="register.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, f"unknown target name {name!r}")
+    assert not (out / "manifest.json").exists()
+
+
+def test_target_with_name_and_vector_exits_2(tmp_path, capsys, recwarn, monkeypatch):
+    monkeypatch.setattr(protocols, "calibrate_pulse", no_solve)
     target = {"kind": "state", "name": "flip", "vector": [1, 0]}
-    cfg = (dict(CAL_CFG, target=target) if template == "single-pulse" else
-           {"target": dict(target, name="inversion", vector=[1, 0, 0, 0]),
-            "template": {"type": "shaped-demo", "delta": 0.25, "j": 0.05}})
-    rc, out = run(tmp_path, "calibrate", cfg, name="both.json")
+    rc, out = run(tmp_path, "calibrate", dict(CAL_CFG, target=target), name="both.json")
     assert rc == 2
     assert_one_error_line(capsys, recwarn, "target.name and target.vector")
+    assert not (out / "manifest.json").exists()
+
+
+def test_shaped_demo_template_is_gone(tmp_path, capsys, recwarn):
+    """The shaped pulse is calibrated by ``demo`` alone."""
+    rc, out = run(tmp_path, "calibrate",
+                  {"target": {"kind": "state", "name": "inversion"},
+                   "template": {"type": "shaped-demo", "delta": 0.25, "j": 0.05}},
+                  name="shaped.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, "template type")
     assert not (out / "manifest.json").exists()
 
 

@@ -19,6 +19,9 @@ spec.loader.exec_module(compare_outputs)
     ('{"v": NaN, "d": -2e-05}', '{"v": NaN, "d": -3e-05}', "max abs difference 1e-05"),
     ('{"v": 1.0}', '{"v": Infinity}', "max abs difference inf"),
     ("t,W\n0.0,-0.0\n", "t,W\n0.0,0.0\n", "sign of zero differs"),
+    ("t,W\n0.0,1e-05\n", "t,W\n0.0,1.0e-05\n", "numbers equal, written differently"),
+    ('{"v": nan}', '{"v": NaN}', "numbers equal, written differently"),
+    ("t,W\n1,0.5\n", "t,W\n1.0,0.5\n", "numbers equal, written differently"),
     ("t,W\n0.0,0.5\n", "t,P\n0.0,0.5\n", "text differs"),
     ("0.0,0.5\n", "0.0,0.5\n1.0,0.5\n", "text differs"),
 ])

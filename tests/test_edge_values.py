@@ -1,11 +1,13 @@
-"""Edge values through the fast CLI commands.
+"""Edge values through the CLI commands.
 
 Each case starts from one small valid config and sets one numeric leaf at a time
 to an edge value: a count or ``budget`` to -1, 0, 1 or 2, any other number to
 NaN, +-inf, -1, 0, 5e-324, 1e6, 1e30 or 1e308.  Every run must exit 0 with
-finite outputs (grid cells and W in [0, 1]), or exit 2 or 3; none may raise,
-and the suite turns a RuntimeWarning into an error.  ``shape`` and ``demo`` are
-left to their own tests: each of their LJJ solves takes 0.1-0.7 s.
+finite outputs (grid cells, W and fidelities in [0, 1]), or exit 2 or 3; none
+may raise, and the suite turns a RuntimeWarning into an error.  The ``shape``
+case sets every ``LJJConfig`` and ``InterferometerConfig`` field on a 16-long
+junction, whose solve takes ~0.02 s.  ``demo`` is left to its own tests: it
+always solves the default junction and calibrates a 239-segment schedule.
 """
 
 import json
@@ -39,6 +41,12 @@ CASES = {
                                 "template": {"type": "single-pulse", "delta": 0.25},
                                 "bounds": [[16.0, 64.0], [5.0, 40.0]], "seed": [25.0, 20.0],
                                 "tol": 1e-4, "budget": 20}),
+    "shape": ("shape", {"ljj": {"i_b": 0.2, "length": 16.0, "alpha": 0.05, "dx": 0.2,
+                                "dt": 0.05, "x1": 3.0, "x2": 9.0, "kink_position": 2.0,
+                                "initial_velocity": 0.9, "absorber_width": 4.0,
+                                "absorber_alpha": 2.0, "t_max": 100.0},
+                        "amp": {"ic1": 0.7, "alpha_j": 3.0, "inductance": 0.2},
+                        "energy_scale": 1.0, "time_scale": 1.0, "bias_sweep": [0.3]}),
 }
 
 NUMBERS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e6, 1e30, 1e308]
@@ -65,15 +73,22 @@ def with_leaf(config, path, value):
 
 
 def output_problems(out):
-    """What is wrong with a successful run's outputs: a non-finite number, or a grid cell
-    or W outside [0, 1]."""
+    """What is wrong with a successful run's outputs: a non-finite number, or a grid cell,
+    W or fidelity outside [0, 1].  A waveform sample or a duration is no probability,
+    and a stalled bias keeps its nan duration."""
     problems = []
     for path in sorted(out.iterdir()):
         if path.suffix == ".csv":
             rows = [line.split(",") for line in path.read_text().splitlines()
                     if not line.startswith("#")][1:]  # the header names the columns
             values = np.array(rows, dtype=float)
-            probabilities = values[:, 1:]  # after the axis1 value or the delay
+            if path.name == "duration_vs_bias.csv":
+                values = values[:, :1]
+            # after the axis1 value or the delay
+            probabilities = values[:, :0] if path.name == "waveform.csv" else values[:, 1:]
+        elif path.name == "summary.json":
+            values = np.array(list(json.loads(path.read_text()).values()), dtype=float)
+            probabilities = values[:0]
         elif path.name == "calibration.json":
             payload = json.loads(path.read_text())
             values = np.array(payload["params"] + [payload["fidelity"]])

@@ -10,7 +10,8 @@ of ``bench/workloads.py`` at each ``--seed`` (default: the benchmark's
 output file, and for the ``health`` entry of ``manifest.json`` as
 ``<call>/manifest.json:health`` (the rest of the manifest holds wall times), the
 report says ``identical``, gives the largest absolute difference between the
-numbers of the two, or says that only the sign of a zero differs.  The exit
+numbers of the two, or says that only the sign of a zero differs or that equal
+numbers are written differently (``1e-05`` and ``1.0e-05``).  The exit
 status is 1 if any run exits non-zero on either side, and 0 otherwise, whatever
 the differences.
 """
@@ -81,8 +82,8 @@ def difference(a: str, b: str) -> str:
             worst = max(worst, abs(x - y) if math.isfinite(x - y) else math.inf)
         elif x == y == 0 and math.copysign(1.0, x) != math.copysign(1.0, y):
             signed_zeros = True
-    if worst == 0 and signed_zeros:
-        return "sign of zero differs"
+    if worst == 0:  # the texts differ only in how equal numbers are written
+        return "sign of zero differs" if signed_zeros else "numbers equal, written differently"
     return f"max abs difference {worst:.3g}"
 
 
