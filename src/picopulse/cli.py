@@ -37,7 +37,6 @@ import numpy as np
 from . import __version__, protocols
 from .core import DENSITY_EIG_TOL, DENSITY_TOL
 from .dynamics import LindbladParams
-from .units import UnitConvention
 
 
 class ConfigError(ValueError):
@@ -46,6 +45,9 @@ class ConfigError(ValueError):
 
 FREQ = "frequency"
 TIME = "time"
+
+# --convention -> the factor each unit is multiplied by on reading: GHz to rad/ns, ps to ns
+_SCALES = {"cyclic-ghz": {FREQ: math.tau, TIME: 1e-3}, "angular": {FREQ: 1.0, TIME: 1.0}}
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,9 @@ _RAMSEY = {"amplitude": FREQ, "delta": FREQ, "tau": TIME,
 _LINDBLAD = {**_RAMSEY, "gamma": FREQ, "gamma_phi": FREQ}
 
 _TARGET = {"kind": str, "name": Opt(str, None), "vector": Opt(Items(complex), None)}
-# calibration template type -> fields besides ``target``
-_TEMPLATES = {
-    "single-pulse": {"template": {"type": str, "delta": FREQ},
-                     "bounds": [[FREQ, FREQ], [TIME, TIME]], "seed": [FREQ, TIME],
-                     "tol": Opt(float, 1e-4), "budget": Opt(int, 4000)},
-}
+_CALIBRATE = {"target": _TARGET, "template": {"type": str, "delta": FREQ},
+              "bounds": [[FREQ, FREQ], [TIME, TIME]], "seed": [FREQ, TIME],
+              "tol": Opt(float, 1e-4), "budget": Opt(int, 4000)}
 
 _DEMO = {"target": str, "delta": Opt(FREQ, math.tau * 0.25), "j": Opt(FREQ, 0.0)}
 
@@ -103,7 +102,7 @@ def _check_keys(raw, allowed, where: str) -> None:
         raise ConfigError(f"unknown fields {unknown} in {where}")
 
 
-def _read(raw, schema: dict, conv: UnitConvention, where: str = "config") -> dict:
+def _read(raw, schema: dict, scale: dict, where: str = "config") -> dict:
     """Every field of ``schema`` read from ``raw`` and converted to internal units."""
     _check_keys(raw, schema, where)
     values = {}
@@ -111,7 +110,7 @@ def _read(raw, schema: dict, conv: UnitConvention, where: str = "config") -> dic
         if key in raw:
             path = key if where == "config" else f"{where}.{key}"
             values[key] = _convert(raw[key], unit.unit if isinstance(unit, Opt) else unit,
-                                   conv, path)
+                                   scale, path)
         elif isinstance(unit, Opt):
             values[key] = unit.default
         else:
@@ -125,9 +124,9 @@ def _number(value, where: str) -> None:
         raise ConfigError(f"invalid {where}: expected a number, got {value!r}")
 
 
-def _convert(value, unit, conv: UnitConvention, where: str):
+def _convert(value, unit, scale: dict, where: str):
     if isinstance(unit, dict):
-        return _read(value, unit, conv, where)
+        return _read(value, unit, scale, where)
     if isinstance(unit, Items):
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a list")
@@ -135,12 +134,12 @@ def _convert(value, unit, conv: UnitConvention, where: str):
     if isinstance(unit, list):
         if not isinstance(value, list) or len(value) != len(unit):
             raise ConfigError(f"{where} must be a list of {len(unit)} items")
-        return [_convert(v, u, conv, f"{where}[{i}]")
+        return [_convert(v, u, scale, f"{where}[{i}]")
                 for i, (v, u) in enumerate(zip(value, unit))]
     if unit is complex:  # a number or an [re, im] pair
         if isinstance(value, list):
-            return complex(*_convert(value, [float, float], conv, where))
-        return complex(_convert(value, float, conv, where))
+            return complex(*_convert(value, [float, float], scale, where))
+        return complex(_convert(value, float, scale, where))
     if is_dataclass(unit):
         _check_keys(value, [f.name for f in fields(unit)], where)
         for f in fields(unit):  # a bool only where the field's default is one
@@ -149,10 +148,8 @@ def _convert(value, unit, conv: UnitConvention, where: str):
     elif unit in (FREQ, TIME, float, int):
         _number(value, where)
     try:
-        if unit == FREQ:
-            return conv.frequency_in(float(value))
-        if unit == TIME:
-            return conv.time_in(float(value))
+        if unit in (FREQ, TIME):
+            return scale[unit] * float(value)
         if unit is int and int(value) != value:
             raise ValueError(f"expected an integer, got {value!r}")
         return unit(**value) if is_dataclass(unit) else unit(value)
@@ -227,11 +224,11 @@ def _calibration_json(result, **extra) -> dict:
 # subcommands
 
 
-def cmd_sweep(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
+def cmd_sweep(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
     kind = _select(config, "kind", _SWEEPS, "sweep kind")
     runner, fixed, further = _SWEEPS[kind]
     cfg = _read(config, {"kind": str, "axis1": _AXIS1, "axis2": _AXIS2,
-                         "fixed": fixed, **further}, conv)
+                         "fixed": fixed, **further}, scale)
     grids = runner(protocols.SweepSpec(axis1=protocols.Axis(**cfg["axis1"]),
                                        axis2=protocols.Axis(**cfg["axis2"]),
                                        fixed=cfg["fixed"],
@@ -240,16 +237,16 @@ def cmd_sweep(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
         names = [f"grid_basis{i}" for i in range(len(grids))]
     else:
         grids, names = [grids], ["grid"]
-    return _grid_outputs(grids, names, out, {"kind": kind})
+    return _grid_outputs(grids, names, out, {"kind": kind}), {}
 
 
-def _delay_scan(config: dict, schema: dict, conv: UnitConvention):
-    cfg = _read(config, schema, conv)
+def _delay_scan(config: dict, schema: dict, scale: dict):
+    cfg = _read(config, schema, scale)
     return cfg, protocols.Axis("tau_r", **cfg["tau_r"]).values()
 
 
-def cmd_ramsey(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
-    cfg, delays = _delay_scan(config, _RAMSEY, conv)
+def cmd_ramsey(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
+    cfg, delays = _delay_scan(config, _RAMSEY, scale)
     amplitude, delta, tau = cfg["amplitude"], cfg["delta"], cfg["tau"]
     rows = protocols.ramsey_delay_scan(amplitude, delta, tau, delays)
     path = out / "ramsey.csv"
@@ -257,11 +254,11 @@ def cmd_ramsey(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
                [f"amplitude = {amplitude} rad/ns", f"delta = {delta} rad/ns",
                 f"tau = {tau} ns"],
                ["tau_R", "W_numeric", "W_analytic"], rows)
-    return [path]
+    return [path], {}
 
 
-def cmd_lindblad(config: dict, out: Path, conv: UnitConvention) -> tuple[list[Path], dict]:
-    cfg, delays = _delay_scan(config, _LINDBLAD, conv)
+def cmd_lindblad(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
+    cfg, delays = _delay_scan(config, _LINDBLAD, scale)
     amplitude, delta, tau = cfg["amplitude"], cfg["delta"], cfg["tau"]
     lp = LindbladParams(gamma=cfg["gamma"], gamma_phi=cfg["gamma_phi"])
     finals = protocols.lindblad_ramsey_finals(amplitude, delta, tau, delays, lp)
@@ -304,9 +301,9 @@ def _calibration_target(raw: dict):
     return ("state", state / norm)
 
 
-def cmd_calibrate(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
-    ttype = _select(config.get("template"), "type", _TEMPLATES, "template type")
-    cfg = _read(config, {"target": _TARGET, **_TEMPLATES[ttype]}, conv)
+def cmd_calibrate(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
+    _select(config.get("template"), "type", ("single-pulse",), "template type")
+    cfg = _read(config, _CALIBRATE, scale)
     target = _calibration_target(cfg["target"])
     delta = cfg["template"]["delta"]
 
@@ -315,21 +312,21 @@ def cmd_calibrate(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
 
     result = protocols.calibrate_pulse(target, template, cfg["bounds"], cfg["seed"],
                                        tol=cfg["tol"], budget=cfg["budget"])
-    return [_write_json(out / "calibration.json", _calibration_json(result))]
+    return [_write_json(out / "calibration.json", _calibration_json(result))], {}
 
 
 # a topological charge farther than this from 1 is not one fluxon
 CHARGE_DRIFT_MAX = 0.5
 
 
-def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
+def cmd_shape(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
     from . import fluxshaper
     # normalized circuit units, and internal units for the two scales: nothing is converted
     cfg = _read(config, {
         "ljj": Opt(fluxshaper.LJJConfig, fluxshaper.LJJConfig()),
         "amp": Opt(fluxshaper.InterferometerConfig, fluxshaper.InterferometerConfig()),
         "energy_scale": Opt(float, 1.0), "time_scale": Opt(float, 1.0),
-        "bias_sweep": Opt(Items(float), None)}, conv)
+        "bias_sweep": Opt(Items(float), None)}, scale)
     ljj = cfg["ljj"]
     for i, bias in enumerate(cfg["bias_sweep"] or ()):  # each bias is a valid LJJ run
         try:
@@ -347,6 +344,9 @@ def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
     if summary["charge_drift"] > CHARGE_DRIFT_MAX:
         raise ArithmeticError(f"charge_drift = {summary['charge_drift']:.3g} exceeds "
                               f"{CHARGE_DRIFT_MAX}: the junction no longer holds one fluxon")
+    if summary["velocity"] <= 0:
+        raise ArithmeticError(f"velocity = {summary['velocity']:.3g} is not > 0: the fluxon "
+                              "did not travel toward the far end")
     path = out / "waveform.csv"
     _write_csv(path, [f"stage = {wave.meta.get('stage')}",
                       f"config = {wave.meta.get('config')}"],
@@ -359,12 +359,12 @@ def cmd_shape(config: dict, out: Path, conv: UnitConvention) -> list[Path]:
         _write_csv(dpath, ["plateau duration of the loop-flux pulse"],
                    ["i_b", "duration"], rows)
         written.append(dpath)
-    return written
+    return written, {}
 
 
-def cmd_demo(config: dict, out: Path, conv: UnitConvention) -> tuple[list[Path], dict]:
+def cmd_demo(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
     from . import fluxshaper
-    cfg = _read(config, _DEMO, conv)
+    cfg = _read(config, _DEMO, scale)
     name = cfg["target"]
     if name not in ("inversion", "entangled"):
         raise ConfigError(f"unknown demo target {name!r}")
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--convention", choices=["cyclic-ghz", "angular"],
+    parser.add_argument("--convention", choices=list(_SCALES),
                         default="cyclic-ghz")
     parser.add_argument("--threads", type=int, default=None,
                         help="reserved: validated (an integer >= 1, overridden by "
@@ -443,10 +443,9 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    conv = UnitConvention(args.convention)
     start = time.monotonic()
     try:
-        outputs = _COMMANDS[args.command](config, out, conv)
+        outputs, extra = _COMMANDS[args.command](config, out, _SCALES[args.convention])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -459,8 +458,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a config too large for this machine
         print(f"numeric failure: out of memory ({exc})", file=sys.stderr)
         return 3
-    # a command returns its output paths, or those and extra manifest entries
-    outputs, extra = outputs if isinstance(outputs, tuple) else (outputs, {})
     _write_manifest(out, args.command, config, args.convention, outputs,
                     time.monotonic() - start, extra)
     return 0

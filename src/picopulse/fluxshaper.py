@@ -56,6 +56,15 @@ def _require_finite(cfg) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
+# the solve's first array holds two float64 rows of grid points for each of its fewer
+# than 4,000 saved frames, and its byte count must fit in np.intp
+_GRID_POINTS_MAX = np.iinfo(np.intp).max // (2 * 4000 * 8)
+
+# RK4 substeps of the whole amplitude stage beyond which it is refused as a config error:
+# the default junction's 452 samples take ~2e6 at alpha_j = 1e-3, which still runs
+_AMP_SUBSTEPS_MAX = 1e7
+
+
 @dataclass(frozen=True)
 class LJJConfig:
     """Long-junction geometry and drive, in normalized units."""
@@ -95,6 +104,9 @@ class LJJConfig:
                 < round(self.length / self.dx, 0)):
             raise ValueError(f"dx = {self.dx} must be > 0 and put the taps x1 and x2 on "
                              "distinct interior grid points")
+        if not round(self.length / self.dx, 0) < _GRID_POINTS_MAX:
+            raise ValueError(f"length / dx = {self.length / self.dx:.3g} grid points is more "
+                             f"than an array can address ({_GRID_POINTS_MAX:.3g})")
         if not 0.0 < self.kink_position < self.length:
             raise ValueError(f"kink_position = {self.kink_position} must lie inside the "
                              f"junction, between 0 and length = {self.length}")
@@ -364,6 +376,10 @@ def simulate_amplitude_stage(wave: Waveform, cfg: InterferometerConfig) -> Wavef
     """Drive the twin interferometers with the loop flux; return the output current.
 
     Each phase is a Python float stepped by ``dynamics.rk4_step`` with ``math.sin``."""
+    substeps = wave.dt / 0.02 / cfg.alpha_j * len(wave.samples)  # alpha_j > 0: no division by 0
+    if not substeps <= _AMP_SUBSTEPS_MAX:
+        raise ValueError(f"alpha_j = {cfg.alpha_j} needs {substeps:.3g} RK4 substeps over "
+                         f"{len(wave.samples)} samples, more than {_AMP_SUBSTEPS_MAX:.0e}")
     phi_ext = (0.25 * wave.samples).tolist()  # Python floats: cheaper than numpy scalars per substep
     nsub = max(1, int(math.ceil(wave.dt / (0.02 * cfg.alpha_j))))
     h, inductance, alpha_j, step = wave.dt / nsub, cfg.inductance, cfg.alpha_j, dynamics.rk4_step

@@ -38,6 +38,13 @@ def run(tmp_path, command, config, name="cfg.json", extra=()):
     return rc, out
 
 
+def subprocess_env():
+    """The environment that lets a child interpreter import this picopulse."""
+    src = str(Path(picopulse.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 SWEEP_CFG = {
     "kind": "single",
     "axis1": {"name": "amplitude", "start": 0.5, "stop": 20.0, "count": 6},
@@ -145,12 +152,9 @@ def test_lindblad_overflow_exits_3(tmp_path):
     with no output written.  Run as a user runs it, where numpy's overflow is a warning."""
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(dict(RAMSEY_CFG, amplitude=1e30, gamma=0.05, gamma_phi=0.1)))
-    src = str(Path(picopulse.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "picopulse.cli", "lindblad", "--config",
                            str(path), "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True)
+                          env=subprocess_env(), capture_output=True, text=True)
     assert proc.returncode == 3
     assert "numeric failure" in proc.stderr and "Traceback" not in proc.stderr
     assert not (tmp_path / "out" / "lindblad.csv").exists()
@@ -160,14 +164,11 @@ def test_sweep_and_ramsey_leave_out_fluxshaper(tmp_path):
     """Only ``shape`` and ``demo`` import fluxshaper."""
     for name, config in (("sweep", SWEEP_CFG), ("ramsey", RAMSEY_CFG)):
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
-    src = str(Path(picopulse.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys; from picopulse.cli import main; d = sys.argv[1]; "
             "rcs = [main([c, '--config', f'{d}/{c}.json', '--out', f'{d}/{c}']) "
             "for c in ('sweep', 'ramsey')]; "
             "print(rcs, 'picopulse.fluxshaper' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=subprocess_env(),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[0, 0] False"
     assert (tmp_path / "sweep" / "grid.csv").exists()
@@ -351,6 +352,18 @@ def test_shape_whose_charge_breaks_exits_3_and_writes_nothing(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_shape_whose_fluxon_turns_back_exits_3_and_writes_nothing(tmp_path, capsys):
+    """A strong absorber on a short junction stops the fluxon before the exit test,
+    and the fitted velocity comes out negative."""
+    config = {"ljj": {"i_b": 0.2, "length": 16.0, "dx": 0.2, "x1": 3.0, "x2": 9.0,
+                      "kink_position": 2.0, "absorber_alpha": 1e6}, "amp": {"ic1": 0.7}}
+    rc, out = run(tmp_path, "shape", config, name="turnback.json")
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric failure: velocity = -")
+    assert list(out.iterdir()) == []
+
+
 def both_conventions(spec):
     """(cyclic, angular) configs from ``spec``, whose (value, unit) leaves are
     GHz or ps values; angular values are 2*pi*f rad/ns and t*1e-3 ns."""
@@ -426,6 +439,13 @@ def test_cyclic_and_angular_configs_write_identical_outputs(tmp_path, command, s
     assert files == sorted(p.name for p in out_a.iterdir() if p.name != "manifest.json")
     for f in files:
         assert (out_c / f).read_bytes() == (out_a / f).read_bytes(), f
+
+
+def test_unknown_convention_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "sweep", SWEEP_CFG, extra=("--convention", "hz"))
+    assert exc.value.code == 2
+    assert "argument --convention: invalid choice: 'hz'" in capsys.readouterr().err
 
 
 def test_axis_unit_comes_from_position_not_name(tmp_path):
@@ -526,9 +546,10 @@ def test_non_finite_shaper_fields_exit_2(tmp_path, capsys, config, field):
 
 
 @pytest.mark.parametrize("field,value", [("dx", 1e6), ("kink_position", 1e6),
-                                         ("kink_position", -1.0)])
+                                         ("kink_position", -1.0), ("length", 1e30)])
 def test_misplaced_grid_or_kink_exits_2(tmp_path, capsys, field, value):
-    """A dx too coarse to place the taps, or a kink outside the junction, is named."""
+    """A dx too coarse to place the taps, a kink outside the junction, or a grid of more
+    points than an array can address, is named."""
     rc, _ = run(tmp_path, "shape", {"ljj": {field: value}}, name="misplaced.json")
     assert rc == 2
     assert field in capsys.readouterr().err
@@ -601,14 +622,25 @@ def test_huge_t_max_ends_in_seconds_and_writes_nothing(tmp_path):
     gives no velocity."""
     path = tmp_path / "tmax.json"
     path.write_text(json.dumps({"ljj": {"t_max": 1e30}}))
-    src = str(Path(picopulse.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "picopulse.cli", "shape", "--config",
                            str(path), "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=20)
+                          env=subprocess_env(), capture_output=True, text=True, timeout=20)
     assert proc.returncode == 3
     assert proc.stderr == "numeric failure: summary.json's velocity is not finite\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("alpha_j", [1e-12, 5e-324])
+def test_tiny_alpha_j_ends_in_seconds_and_writes_nothing(tmp_path, alpha_j):
+    """The amplitude stage takes ~dt / (0.02 alpha_j) RK4 substeps per sample: too many
+    to run (1e-12), or a division that overflows (5e-324), is refused before any step."""
+    path = tmp_path / "alpha_j.json"
+    path.write_text(json.dumps({"amp": {"alpha_j": alpha_j}}))
+    proc = subprocess.run([sys.executable, "-m", "picopulse.cli", "shape", "--config",
+                           str(path), "--out", str(tmp_path / "out")],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: alpha_j = {alpha_j} needs ")
     assert list((tmp_path / "out").iterdir()) == []
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from picopulse import core
-from picopulse.units import UnitConvention, cyclic_ghz_to_angular, angular_to_cyclic_ghz
 
 
 def test_pauli_algebra():
@@ -90,17 +89,3 @@ def test_eigendecomposition_reconstructs(delta, eps):
     assert vals[0] <= vals[1]
     assert np.allclose((vecs * vals) @ vecs.conj().T, h, atol=1e-12)
 
-
-@given(st.floats(1e-3, 1e3))
-def test_unit_round_trip(f):
-    assert angular_to_cyclic_ghz(cyclic_ghz_to_angular(f)) == pytest.approx(f, rel=1e-14)
-
-
-def test_unit_convention_modes():
-    conv = UnitConvention("cyclic-ghz")
-    assert conv.frequency_in(0.25) == pytest.approx(2 * np.pi * 0.25)
-    assert conv.time_in(100.0) == pytest.approx(0.1)  # ps -> ns
-    raw = UnitConvention("angular")
-    assert raw.frequency_in(1.3) == 1.3
-    with pytest.raises(ValueError):
-        UnitConvention("hz")

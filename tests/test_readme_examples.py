@@ -2,6 +2,7 @@
 tool" section, and the Python blocks of the "Quick start (library)" section."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -15,22 +16,15 @@ import pytest
 import picopulse
 from picopulse.cli import _COMMANDS, main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+spec = importlib.util.spec_from_file_location("compare_outputs",
+                                              ROOT / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_outputs)
 
-
-def cli_examples() -> list[tuple[str, dict]]:
-    """(subcommand, config) for every JSON block, by its ``### `subcommand` `` heading."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Command-line tool\n", 1)[1].split("\n## ", 1)[0]
-    examples = []
-    for block in section.split("\n### ")[1:]:
-        command = re.match(r"`([a-z-]+)`", block).group(1)
-        examples += [(command, json.loads(body))
-                     for body in re.findall(r"```json\n(.*?)```", block, re.S)]
-    return examples
-
-
-EXAMPLES = cli_examples()
+# (subcommand, config) for every JSON block, by its ``### `subcommand` `` heading
+EXAMPLES = [(command, config) for _, command, config in compare_outputs.readme_examples(ROOT)]
 
 
 def test_every_subcommand_has_an_example():

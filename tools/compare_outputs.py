@@ -35,8 +35,8 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf|NaN|-?Infinity)
 
 def readme_examples(tree: Path) -> list[tuple[str, str, dict]]:
     """(name, subcommand, config) for each JSON block of README's "Command-line tool"
-    section, by its ``### `subcommand` `` heading, as ``tests/test_readme_examples.py``
-    reads them."""
+    section, by its ``### `subcommand` `` heading; ``tests/test_readme_examples.py``
+    runs the same list."""
     text = (tree / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Command-line tool\n", 1)[1].split("\n## ", 1)[0]
     examples = []
