@@ -450,7 +450,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # invalid physical parameters, checked after unit conversion
-        print(f"error: {exc} (numbers in internal units: rad/ns and ns)", file=sys.stderr)
+        # shape reads every field as given, so its numbers need no note
+        note = "" if args.command == "shape" else " (numbers in internal units: rad/ns and ns)"
+        print(f"error: {exc}{note}", file=sys.stderr)
         return 2
     except (ArithmeticError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -56,13 +56,13 @@ def _require_finite(cfg) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
-# the solve's first array holds two float64 rows of grid points for each of its fewer
-# than 4,000 saved frames, and its byte count must fit in np.intp
-_GRID_POINTS_MAX = np.iinfo(np.intp).max // (2 * 4000 * 8)
-
 # RK4 substeps of the whole amplitude stage beyond which it is refused as a config error:
 # the default junction's 452 samples take ~2e6 at alpha_j = 1e-3, which still runs
 _AMP_SUBSTEPS_MAX = 1e7
+
+# grid points times leapfrog steps beyond which an LJJ run is refused: the default
+# junction's 801 points over ~14,000 steps make 1.1e7
+_POINT_STEPS_MAX = 1e9
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,6 @@ class LJJConfig:
                 < round(self.length / self.dx, 0)):
             raise ValueError(f"dx = {self.dx} must be > 0 and put the taps x1 and x2 on "
                              "distinct interior grid points")
-        if not round(self.length / self.dx, 0) < _GRID_POINTS_MAX:
-            raise ValueError(f"length / dx = {self.length / self.dx:.3g} grid points is more "
-                             f"than an array can address ({_GRID_POINTS_MAX:.3g})")
         if not 0.0 < self.kink_position < self.length:
             raise ValueError(f"kink_position = {self.kink_position} must lie inside the "
                              f"junction, between 0 and length = {self.length}")
@@ -115,6 +112,12 @@ class LJJConfig:
         for name, value in (("dt", self.dt), ("t_max", self.t_max)):  # None: the default
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
+        # the solve ends soon after the fluxon exits: a longer t_max adds no steps
+        points = round(self.length / self.dx, 0) + 1  # a float: it may overflow to inf
+        steps = min(self.time_budget, self._default_budget) / self.step
+        if not points * steps <= _POINT_STEPS_MAX:
+            raise ValueError(f"length / dx gives {points:.3g} grid points, which over {steps:.3g}"
+                             f" steps of dt make more than {_POINT_STEPS_MAX:.0e} point-steps")
         if not math.isfinite(self.time_budget / self.step):
             raise ValueError(f"the step count t_max / dt = {self.time_budget / self.step} "
                              "is not finite")
@@ -133,8 +136,10 @@ class LJJConfig:
 
     @property
     def time_budget(self) -> float:
-        if self.t_max is not None:
-            return self.t_max
+        return self._default_budget if self.t_max is None else self.t_max
+
+    @property
+    def _default_budget(self) -> float:
         u = max(power_balance_velocity(self.i_b, self.alpha), 0.05)
         return 3.0 * self.length / u + 50.0
 
@@ -183,8 +188,7 @@ class Waveform:
 @dataclass(frozen=True)
 class LJJResult:
     times: np.ndarray          # saved frame times
-    phases: np.ndarray         # frames x grid
-    phase_rates: np.ndarray    # frames x grid, centered phi_t
+    taps: np.ndarray           # frames x 2: phi at the grid points nearest x1 and x2
     positions: np.ndarray      # fluxon position per frame (nan once exited)
     x: np.ndarray              # grid coordinates
     velocity: float
@@ -212,14 +216,10 @@ def _kink_profile(x: np.ndarray, x0: float, u: float, t: float, offset: float) -
     return 4.0 * np.arctan(np.exp(-(x - x0 - u * t) / w)) + offset
 
 
-def _fluxon_position(x: np.ndarray, phi: np.ndarray, level: float) -> np.ndarray:
-    """Where each frame of ``phi (..., n)`` first falls below ``level``, interpolated
-    linearly on ``x``; nan for a frame that never does or starts below it."""
-    i = np.argmax(phi < level, axis=-1)  # 0 if no point is below, or the first one is
+def _crossing(x: np.ndarray, i, f0, f1, level: float):
+    """Where phi, first below ``level`` at x[i], crosses it, interpolated linearly from
+    f0 = phi[i-1] and f1 = phi[i]; nan where i = 0 (no crossing)."""
     found = i > 0
-    i = np.maximum(i, 1)
-    f0 = np.take_along_axis(phi, (i - 1)[..., None], -1)[..., 0]
-    f1 = np.take_along_axis(phi, i[..., None], -1)[..., 0]
     # where found, f0 >= level > f1, so the division is safe
     frac = np.divide(f0 - level, f0 - f1, out=np.zeros_like(f0), where=found)
     return np.where(found, x[i - 1] + frac * (x[i] - x[i - 1]), math.nan)
@@ -229,18 +229,17 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
     """Integrate the damped, biased sine-Gordon equation for a launched fluxon.
 
     Explicit leapfrog in the interior with semi-implicit damping and Neumann
-    ends; returns the saved phase-field history and the fluxon position trace.
+    ends; returns the phases at the taps and the fluxon position per saved frame.
     """
+    return _leapfrog(cfg)
+
+
+def _leapfrog(cfg: LJJConfig, on_frame=None) -> LJJResult:
+    """The solve, calling ``on_frame(phi, phi_next, phi_prev)`` on each saved frame's views."""
     dx, dt = cfg.dx, cfg.step
     n = int(round(cfg.length / dx)) + 1
     nsteps = int(math.ceil(cfg.time_budget / dt))
     stride = max(1, nsteps // 2000)
-    # each saved frame and its phi_next - phi_prev, as rows, allocated first so that a
-    # grid too large for memory fails before any other array.  Rows never written are
-    # mostly never touched, but NumPy advises huge pages for buffers of 4 MiB or more:
-    # the default solve's (2, 2011, 801) buffer, 452 rows written, keeps 7.65 MB
-    # resident, against 5.59 MB for two exact (452, 801) arrays.
-    frames, rates = np.empty((2, -(-nsteps // stride), n))
     x = np.linspace(0.0, cfg.length, n)
     offset = math.asin(cfg.i_b)
     u0 = cfg.launch_velocity
@@ -256,8 +255,12 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
     # the exit test runs at least once per plasma period (2 pi), whatever the stride
     every = min(stride, max(1, int(2.0 * math.pi / dt)))
     exit_x = cfg.length - cfg.absorber_width - 2.0
-    level = 2.0 * math.pi / 2.0 + offset  # mid-kink phase level
+    level = math.pi + offset  # mid-kink phase level
 
+    # per saved frame: phi at x1, x2 and both ends, and phi[i-1], phi[i] around a crossing
+    cols = np.array([round(cfg.x1 / dx), round(cfg.x2 / dx), 0, n - 1, 0, 0])
+    kept = np.empty((-(-nsteps // stride), len(cols)))
+    crossings = np.empty(len(kept), dtype=np.intp)
     count = 0
     exited = False
     damp_plus, damp_minus = 1.0 + 0.5 * alpha_x * dt, 1.0 - 0.5 * alpha_x * dt
@@ -279,20 +282,26 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
         np.add(phi_next, np.multiply(dt2, force, out=tmp), out=phi_next)
         np.divide(phi_next, damp_plus, out=phi_next)
 
-        if step % stride == 0:
+        saved = step % stride == 0
+        test = not exited and step % every == 0
+        if saved or test:
+            i = int(np.argmax(phi < level))  # 0 if no point is below, or the first one is
+        if saved:
             if not np.isfinite(phi_next).all():
                 raise RuntimeError("sine-Gordon integration diverged")
-            frames[count] = phi
-            np.subtract(phi_next, phi_prev, out=rates[count])
+            cols[4:] = i - 1, i  # i = 0 reads phi[-1], unused
+            np.take(phi, cols, out=kept[count], mode="wrap")
+            crossings[count] = i
+            if on_frame is not None:
+                on_frame(phi, phi_next, phi_prev)
             count += 1
-        if not exited and step % every == 0:
-            # no crossing (i = 0) is an exit; a crossing lies in (x[i-1], x[i]],
-            # so only one that reaches exit_x needs its interpolated position
-            i = int(np.argmax(phi < level))
-            if i == 0 or (x[i] >= exit_x and _fluxon_position(x, phi, level) >= exit_x):
-                exited = True
-                # keep integrating a little so the tap waveform settles
-                nsteps = min(nsteps, step + int(10.0 / dt))
+        # no crossing (i = 0) is an exit; a crossing lies in (x[i-1], x[i]],
+        # so only one that reaches exit_x needs its interpolated position
+        if test and (i == 0 or (x[i] >= exit_x
+                                and _crossing(x, i, phi[i - 1], phi[i], level) >= exit_x)):
+            exited = True
+            # keep integrating a little so the tap waveform settles
+            nsteps = min(nsteps, step + int(10.0 / dt))
         phi_prev, phi, phi_next = phi, phi_next, phi_prev
         step += 1
     if not np.all(np.isfinite(phi)):
@@ -303,13 +312,12 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
             f"fluxon did not reach x = {exit_x:.1f} within t = {cfg.time_budget:.0f} "
             f"(i_b = {cfg.i_b})")
 
-    frames, rates = frames[:count], rates[:count]
-    rates /= 2.0 * dt
+    kept = kept[:count]
     times = (np.arange(count, dtype=float) * stride) * dt  # stride may pass int64
-    positions = _fluxon_position(x, frames, level)
+    positions = _crossing(x, crossings[:count], kept[:, 4], kept[:, 5], level)
     # topological charge from endpoint phases, smoothed over one plasma period
     # to remove the (physical, non-topological) boundary plasma ringing
-    charge = (frames[:, 0] - frames[:, -1]) / (2.0 * math.pi)
+    charge = (kept[:, 2] - kept[:, 3]) / (2.0 * math.pi)
     win = max(1, int(round(2.0 * math.pi / (stride * dt))))  # frames per plasma period
     if len(charge) >= win:
         smooth = np.convolve(charge, np.ones(win) / win, mode="valid")
@@ -321,18 +329,23 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
     window = (positions > cfg.kink_position + 4.0) & (positions < exit_x - 1.0)  # nan: False
     velocity = (float(np.polyfit(times[window], positions[window], 1)[0])
                 if np.count_nonzero(window) >= 3 else math.nan)
-    return LJJResult(times=times, phases=frames, phase_rates=rates,
-                     positions=positions, x=x, velocity=velocity,
-                     charge_drift=charge_drift, exited=exited)
+    return LJJResult(times=times, taps=kept[:, :2], positions=positions, x=x,
+                     velocity=velocity, charge_drift=charge_drift, exited=exited)
 
 
-def field_energy(result: LJJResult) -> np.ndarray:
-    """Discrete sine-Gordon energy per saved frame, without the bias term."""
-    dx = float(result.x[1] - result.x[0])
-    phi = result.phases
-    phi_x = np.gradient(phi, dx, axis=1)
-    dens = 0.5 * result.phase_rates**2 + 0.5 * phi_x**2 + (1.0 - np.cos(phi))
-    return np.sum(dens, axis=1) * dx
+def field_energy(cfg: LJJConfig) -> np.ndarray:
+    """Discrete sine-Gordon energy per saved frame of the solve of ``cfg``, without the
+    bias term, summed as the solve runs."""
+    dx = cfg.length / round(cfg.length / cfg.dx)  # the grid's spacing
+    energies = []
+
+    def add(phi, phi_next, phi_prev):
+        phi_t = (phi_next - phi_prev) / (2.0 * cfg.step)
+        dens = 0.5 * phi_t**2 + 0.5 * np.gradient(phi, dx)**2 + (1.0 - np.cos(phi))
+        energies.append(np.sum(dens))
+
+    _leapfrog(cfg, add)
+    return np.array(energies) * dx
 
 
 def loop_flux_waveform(result: LJJResult, cfg: LJJConfig) -> Waveform:
@@ -341,9 +354,7 @@ def loop_flux_waveform(result: LJJResult, cfg: LJJConfig) -> Waveform:
     Rises to about 2*pi while the fluxon sits between the taps and returns
     near zero after it exits.
     """
-    i1 = int(round(cfg.x1 / cfg.dx))
-    i2 = int(round(cfg.x2 / cfg.dx))
-    samples = result.phases[:, i1] - result.phases[:, i2]
+    samples = result.taps[:, 0] - result.taps[:, 1]
     samples = samples - samples[0]
     dt = float(result.times[1] - result.times[0]) if len(result.times) > 1 else cfg.step
     return Waveform(dt=dt, samples=samples,

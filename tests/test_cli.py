@@ -548,8 +548,8 @@ def test_non_finite_shaper_fields_exit_2(tmp_path, capsys, config, field):
 @pytest.mark.parametrize("field,value", [("dx", 1e6), ("kink_position", 1e6),
                                          ("kink_position", -1.0), ("length", 1e30)])
 def test_misplaced_grid_or_kink_exits_2(tmp_path, capsys, field, value):
-    """A dx too coarse to place the taps, a kink outside the junction, or a grid of more
-    points than an array can address, is named."""
+    """A dx too coarse to place the taps, a kink outside the junction, or a grid whose
+    points times steps pass fluxshaper._POINT_STEPS_MAX, is named."""
     rc, _ = run(tmp_path, "shape", {"ljj": {field: value}}, name="misplaced.json")
     assert rc == 2
     assert field in capsys.readouterr().err
@@ -633,14 +633,31 @@ def test_huge_t_max_ends_in_seconds_and_writes_nothing(tmp_path):
 @pytest.mark.parametrize("alpha_j", [1e-12, 5e-324])
 def test_tiny_alpha_j_ends_in_seconds_and_writes_nothing(tmp_path, alpha_j):
     """The amplitude stage takes ~dt / (0.02 alpha_j) RK4 substeps per sample: too many
-    to run (1e-12), or a division that overflows (5e-324), is refused before any step."""
+    to run (1e-12), or a division that overflows (5e-324), is refused before any step.
+    shape converts no unit, so its error carries no note on internal units."""
     path = tmp_path / "alpha_j.json"
     path.write_text(json.dumps({"amp": {"alpha_j": alpha_j}}))
     proc = subprocess.run([sys.executable, "-m", "picopulse.cli", "shape", "--config",
                            str(path), "--out", str(tmp_path / "out")],
                           env=subprocess_env(), capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2
-    assert proc.stderr.startswith(f"error: alpha_j = {alpha_j} needs ")
+    substeps = {1e-12: "1.98e+15", 5e-324: "inf"}[alpha_j]
+    assert proc.stderr == (f"error: alpha_j = {alpha_j} needs {substeps} RK4 substeps over 452 "
+                           "samples, more than 1e+07\n")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_huge_grid_ends_in_seconds_and_writes_nothing(tmp_path):
+    """A 1e6-long junction takes 2e7 grid points over 2.5e8 steps: refused before the
+    solve allocates its first array, naming length and dx."""
+    path = tmp_path / "length.json"
+    path.write_text(json.dumps({"ljj": {"length": 1e6}}))
+    proc = subprocess.run([sys.executable, "-m", "picopulse.cli", "shape", "--config",
+                           str(path), "--out", str(tmp_path / "out")],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: invalid ljj: length / dx gives 2e+07 grid points, which "
+                           "over 2.52e+08 steps of dt make more than 1e+09 point-steps\n")
     assert list((tmp_path / "out").iterdir()) == []
 
 
@@ -949,6 +966,23 @@ def test_write_csv_holds_one_block_of_texts(tmp_path):
     tracemalloc.start()
     try:
         cli._write_csv(tmp_path / "grid.csv", ["c"], ["a"] * 121, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("stage", ["solve", "shape"])
+def test_ljj_solve_holds_no_phase_field_history(stage):
+    """The default solve keeps a few numbers per saved frame; holding the phase field and
+    its rate at every frame took ~25 MB."""
+    tracemalloc.start()
+    try:
+        if stage == "solve":
+            fluxshaper.simulate_ljj_fluxon(fluxshaper.LJJConfig())
+        else:
+            fluxshaper.shape_control_pulse(fluxshaper.LJJConfig(),
+                                           fluxshaper.InterferometerConfig(), 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

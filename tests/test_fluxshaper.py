@@ -41,6 +41,9 @@ def test_config_validation():
         fs.LJJConfig(kink_position=1e6)
     with pytest.raises(ValueError, match="kink_position"):
         fs.LJJConfig(kink_position=0.0)
+    with pytest.raises(ValueError, match="length / dx gives 2e\\+07 grid points"):
+        fs.LJJConfig(length=1e6)  # ~5e15 point-steps, where the default takes 1.1e7
+    fs.LJJConfig(t_max=1e30)  # steps are counted over the default budget, which is shorter
     with pytest.raises(ValueError):
         fs.InterferometerConfig(alpha_j=0.0)
     with pytest.raises(ValueError):
@@ -120,8 +123,7 @@ def test_velocity_monotone_in_bias():
 def test_undriven_energy_conservation():
     cfg = fs.LJJConfig(i_b=0.0, alpha=0.0, initial_velocity=0.5,
                        absorber_width=0.0, t_max=40.0, require_exit=False)
-    result = fs.simulate_ljj_fluxon(cfg)
-    e = fs.field_energy(result)
+    e = fs.field_energy(cfg)
     assert (e.max() - e.min()) / e[0] < 1e-3
 
 
@@ -386,7 +388,8 @@ def test_amplitude_stage_detects_a_nan_phase(monkeypatch, default_loop):
 
 def _reference_ljj(cfg):
     """Reference: the leapfrog step loop in its original order of operations, with
-    2 phi formed twice; returns (phases, phase_rates, positions)."""
+    2 phi formed twice, keeping every saved frame; returns (phases, phase_rates,
+    positions)."""
     dx, dt = cfg.dx, cfg.step
     n = int(round(cfg.length / dx)) + 1
     x = np.linspace(0.0, cfg.length, n)
@@ -421,7 +424,9 @@ def _reference_ljj(cfg):
         np.add(phi_next, np.multiply(dt2, force, out=tmp), out=phi_next)
         np.divide(phi_next, damp_plus, out=phi_next)
         if step % stride == 0:
-            pos = fs._fluxon_position(x, phi, level)
+            i = int(np.argmax(phi < level))
+            pos = (x[i - 1] + (phi[i - 1] - level) / (phi[i - 1] - phi[i]) * (x[i] - x[i - 1])
+                   if i > 0 else math.nan)
             frames.append(phi.copy())
             rates.append((phi_next - phi_prev) / (2.0 * dt))
             positions.append(pos)
@@ -433,14 +438,23 @@ def _reference_ljj(cfg):
     return np.array(frames), np.array(rates), np.array(positions)
 
 
-@pytest.mark.parametrize("cfg", [fs.LJJConfig(), fs.LJJConfig(i_b=0.5, absorber_width=0.0)],
-                         ids=["default", "strong-bias-no-absorber"])
+@pytest.mark.parametrize("cfg", [
+    fs.LJJConfig(), fs.LJJConfig(i_b=0.5, absorber_width=0.0),
+    fs.LJJConfig(i_b=0.0, alpha=0.0, initial_velocity=0.5, absorber_width=0.0, t_max=40.0,
+                 require_exit=False)], ids=["default", "strong-bias-no-absorber", "energy"])
 def test_ljj_leapfrog_matches_the_original_step_bit_for_bit(cfg):
-    result = fs.simulate_ljj_fluxon(cfg)
-    phases, rates, positions = _reference_ljj(cfg)
-    assert result.phases.tobytes() == phases.tobytes()
-    assert result.phase_rates.tobytes() == rates.tobytes()
-    assert result.positions.tobytes() == positions.tobytes()
+    """Every frame the solve hands on, as field_energy reads it, and every position."""
+    phases, rates = [], []
+
+    def keep(phi, phi_next, phi_prev):
+        phases.append(phi.copy())
+        rates.append((phi_next - phi_prev) / (2.0 * cfg.step))
+
+    result = fs._leapfrog(cfg, keep)
+    ref_phases, ref_rates, ref_positions = _reference_ljj(cfg)
+    assert np.array(phases).tobytes() == ref_phases.tobytes()
+    assert np.array(rates).tobytes() == ref_rates.tobytes()
+    assert result.positions.tobytes() == ref_positions.tobytes()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
