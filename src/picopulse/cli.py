@@ -344,9 +344,9 @@ def cmd_shape(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
     if summary["charge_drift"] > CHARGE_DRIFT_MAX:
         raise ArithmeticError(f"charge_drift = {summary['charge_drift']:.3g} exceeds "
                               f"{CHARGE_DRIFT_MAX}: the junction no longer holds one fluxon")
-    if summary["velocity"] <= 0:
-        raise ArithmeticError(f"velocity = {summary['velocity']:.3g} is not > 0: the fluxon "
-                              "did not travel toward the far end")
+    if not 0 < summary["velocity"] < 1:  # at 1, the Swihart velocity, the grid is too coarse
+        raise ArithmeticError(f"velocity = {summary['velocity']:.5g} is not in (0, 1): the "
+                              "fluxon did not travel toward the far end, or outran the grid")
     path = out / "waveform.csv"
     _write_csv(path, [f"stage = {wave.meta.get('stage')}",
                       f"config = {wave.meta.get('config')}"],

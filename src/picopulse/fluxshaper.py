@@ -46,7 +46,7 @@ from .dynamics import Schedule, evolve_state
 
 
 class FluxonStalled(RuntimeError):
-    """The fluxon failed to reach the far boundary within the time budget."""
+    """The fluxon failed to reach the far boundary within ``LJJConfig.wait``."""
 
 
 def _require_finite(cfg) -> None:
@@ -93,17 +93,19 @@ class LJJConfig:
         for name in ("alpha", "absorber_alpha", "absorber_width"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.step > 0.5 * self.dx:
-            raise ValueError(f"dt = {self.step:.4g} violates the CFL bound "
-                             f"0.5*dx = {0.5 * self.dx:.4g}")
         if not 0.0 < self.x1 < self.x2 < self.length:
             raise ValueError("tap positions must satisfy 0 < x1 < x2 < length")
-        # the grid is i * dx, i = 0 .. round(length / dx), and a tap takes its nearest point;
-        # rounding to a float keeps a quotient that overflows to inf from raising here
-        if not (self.dx > 0 and 0 < round(self.x1 / self.dx, 0) < round(self.x2 / self.dx, 0)
-                < round(self.length / self.dx, 0)):
-            raise ValueError(f"dx = {self.dx} must be > 0 and put the taps x1 and x2 on "
-                             "distinct interior grid points")
+        # the grid is i * spacing, i = 0 .. length / spacing, and a tap takes its nearest point;
+        # a length / dx that overflows to inf gives a spacing of 0
+        if not (self.dx > 0 and self.spacing > 0):
+            raise ValueError(f"dx = {self.dx} must be > 0 and leave length / dx finite")
+        tap1, tap2, cells = (round(v / self.spacing, 0) for v in (self.x1, self.x2, self.length))
+        if not 0 < tap1 < tap2 < cells:
+            raise ValueError(f"dx = {self.dx} must put the taps x1 and x2 on distinct "
+                             "interior grid points")
+        if self.step > 0.5 * self.spacing:
+            raise ValueError(f"dt = {self.step:.4g} violates the CFL bound "
+                             f"0.5 * spacing = {0.5 * self.spacing:.4g}")
         if not 0.0 < self.kink_position < self.length:
             raise ValueError(f"kink_position = {self.kink_position} must lie inside the "
                              f"junction, between 0 and length = {self.length}")
@@ -112,27 +114,39 @@ class LJJConfig:
         for name, value in (("dt", self.dt), ("t_max", self.t_max)):  # None: the default
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
-        # the solve ends soon after the fluxon exits: a longer t_max adds no steps
-        points = round(self.length / self.dx, 0) + 1  # a float: it may overflow to inf
-        steps = min(self.time_budget, self._default_budget) / self.step
+        # an exit stops the solve 10 time units later: only the wait for it adds steps
+        points, steps = cells + 1, self.wait / self.step  # floats: they may overflow to inf
         if not points * steps <= _POINT_STEPS_MAX:
+            count = "t_max / dt" if self.wait == self.t_max else "dt"
             raise ValueError(f"length / dx gives {points:.3g} grid points, which over {steps:.3g}"
-                             f" steps of dt make more than {_POINT_STEPS_MAX:.0e} point-steps")
+                             f" steps of {count} make more than {_POINT_STEPS_MAX:.0e} point-steps")
         if not math.isfinite(self.time_budget / self.step):
             raise ValueError(f"the step count t_max / dt = {self.time_budget / self.step} "
                              "is not finite")
 
     @property
+    def spacing(self) -> float:
+        """The grid's spacing: length over the whole number of cells nearest length / dx,
+        at least one.  The solve steps on it."""
+        return self.length / max(round(self.length / self.dx, 0), 1.0)
+
+    @property
     def step(self) -> float:
-        return 0.25 * self.dx if self.dt is None else self.dt
+        return 0.25 * self.spacing if self.dt is None else self.dt
 
     @property
     def launch_velocity(self) -> float:
         if self.initial_velocity is not None:
             return self.initial_velocity
-        if self.alpha <= 0:
-            return 0.995 if self.i_b > 0 else 0.0
         return min(power_balance_velocity(self.i_b, self.alpha), 0.995)
+
+    @property
+    def wait(self) -> float:
+        """The longest the solve runs without an exit: a fluxon that must exit waits no
+        longer than the default budget, whatever t_max."""
+        if self.require_exit:
+            return min(self.time_budget, self._default_budget)
+        return self.time_budget
 
     @property
     def time_budget(self) -> float:
@@ -190,7 +204,6 @@ class LJJResult:
     times: np.ndarray          # saved frame times
     taps: np.ndarray           # frames x 2: phi at the grid points nearest x1 and x2
     positions: np.ndarray      # fluxon position per frame (nan once exited)
-    x: np.ndarray              # grid coordinates
     velocity: float
     charge_drift: float        # max |charge - 1| while the fluxon is in-domain
     exited: bool
@@ -236,10 +249,11 @@ def simulate_ljj_fluxon(cfg: LJJConfig) -> LJJResult:
 
 def _leapfrog(cfg: LJJConfig, on_frame=None) -> LJJResult:
     """The solve, calling ``on_frame(phi, phi_next, phi_prev)`` on each saved frame's views."""
-    dx, dt = cfg.dx, cfg.step
-    n = int(round(cfg.length / dx)) + 1
-    nsteps = int(math.ceil(cfg.time_budget / dt))
-    stride = max(1, nsteps // 2000)
+    dx, dt = cfg.spacing, cfg.step
+    n = round(cfg.length / dx) + 1
+    total = math.ceil(cfg.time_budget / dt)  # frames are spaced over the whole budget
+    nsteps = math.ceil(cfg.wait / dt)  # an exit moves this bound
+    stride = max(1, total // 2000)
     x = np.linspace(0.0, cfg.length, n)
     offset = math.asin(cfg.i_b)
     u0 = cfg.launch_velocity
@@ -259,7 +273,7 @@ def _leapfrog(cfg: LJJConfig, on_frame=None) -> LJJResult:
 
     # per saved frame: phi at x1, x2 and both ends, and phi[i-1], phi[i] around a crossing
     cols = np.array([round(cfg.x1 / dx), round(cfg.x2 / dx), 0, n - 1, 0, 0])
-    kept = np.empty((-(-nsteps // stride), len(cols)))
+    kept = np.empty((-(-total // stride), len(cols)))
     crossings = np.empty(len(kept), dtype=np.intp)
     count = 0
     exited = False
@@ -269,7 +283,7 @@ def _leapfrog(cfg: LJJConfig, on_frame=None) -> LJJResult:
     inner = lap[1:-1]
 
     step = 0
-    while step < nsteps:  # nsteps shrinks once the fluxon has exited
+    while step < nsteps:
         # in place, in this order: lap = phi_xx, force = lap - sin(phi) + i_b,
         # phi_next = (2 phi - damp_minus phi_prev + dt^2 force) / damp_plus
         np.multiply(2.0, phi, out=phi_next)  # 2 phi, exact: shared by lap and the update
@@ -301,7 +315,7 @@ def _leapfrog(cfg: LJJConfig, on_frame=None) -> LJJResult:
                                 and _crossing(x, i, phi[i - 1], phi[i], level) >= exit_x)):
             exited = True
             # keep integrating a little so the tap waveform settles
-            nsteps = min(nsteps, step + int(10.0 / dt))
+            nsteps = min(total, step + int(10.0 / dt))
         phi_prev, phi, phi_next = phi, phi_next, phi_prev
         step += 1
     if not np.all(np.isfinite(phi)):
@@ -309,7 +323,7 @@ def _leapfrog(cfg: LJJConfig, on_frame=None) -> LJJResult:
 
     if cfg.require_exit and not exited:
         raise FluxonStalled(
-            f"fluxon did not reach x = {exit_x:.1f} within t = {cfg.time_budget:.0f} "
+            f"fluxon did not reach x = {exit_x:.1f} within the wait t = {cfg.wait:.4g} "
             f"(i_b = {cfg.i_b})")
 
     kept = kept[:count]
@@ -329,14 +343,14 @@ def _leapfrog(cfg: LJJConfig, on_frame=None) -> LJJResult:
     window = (positions > cfg.kink_position + 4.0) & (positions < exit_x - 1.0)  # nan: False
     velocity = (float(np.polyfit(times[window], positions[window], 1)[0])
                 if np.count_nonzero(window) >= 3 else math.nan)
-    return LJJResult(times=times, taps=kept[:, :2], positions=positions, x=x,
+    return LJJResult(times=times, taps=kept[:, :2], positions=positions,
                      velocity=velocity, charge_drift=charge_drift, exited=exited)
 
 
 def field_energy(cfg: LJJConfig) -> np.ndarray:
     """Discrete sine-Gordon energy per saved frame of the solve of ``cfg``, without the
     bias term, summed as the solve runs."""
-    dx = cfg.length / round(cfg.length / cfg.dx)  # the grid's spacing
+    dx = cfg.spacing
     energies = []
 
     def add(phi, phi_next, phi_prev):
@@ -491,8 +505,6 @@ def waveform_segments(wave: Waveform, max_segments: int = 150) -> list[tuple[flo
     if peak == 0.0:
         return []
     keep = np.nonzero(np.abs(s) >= 1e-6 * peak)[0]
-    if len(keep) == 0:
-        return []
     s = s[keep[0]:keep[-1] + 1]
     block = max(1, int(math.ceil(len(s) / max_segments)))
     pairs = []

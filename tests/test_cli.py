@@ -364,6 +364,17 @@ def test_shape_whose_fluxon_turns_back_exits_3_and_writes_nothing(tmp_path, caps
     assert list(out.iterdir()) == []
 
 
+def test_shape_whose_fluxon_outruns_the_grid_exits_3_and_writes_nothing(tmp_path, capsys):
+    """Undamped and biased, the fluxon has no steady speed: it contracts below the grid's
+    resolution and reads 1.0015, above the Swihart velocity 1."""
+    rc, out = run(tmp_path, "shape", {"ljj": {"i_b": 0.9, "alpha": 0.0}}, name="fast.json")
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numeric failure: velocity = 1.0015 is not in (0, 1): the fluxon did not "
+                   "travel toward the far end, or outran the grid"]
+    assert list(out.iterdir()) == []
+
+
 def both_conventions(spec):
     """(cyclic, angular) configs from ``spec``, whose (value, unit) leaves are
     GHz or ps values; angular values are 2*pi*f rad/ns and t*1e-3 ns."""
@@ -627,6 +638,31 @@ def test_huge_t_max_ends_in_seconds_and_writes_nothing(tmp_path):
                           env=subprocess_env(), capture_output=True, text=True, timeout=20)
     assert proc.returncode == 3
     assert proc.stderr == "numeric failure: summary.json's velocity is not finite\n"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+RESTING_KINK = {"i_b": 0.0, "alpha": 0.0, "kink_position": 20.0, "t_max": 1e30}
+
+
+@pytest.mark.parametrize("ljj,rc,stderr", [
+    (RESTING_KINK, 3, "numeric failure: fluxon did not reach x = 34.0 within the wait "
+                      "t = 2450 (i_b = 0.0)\n"),
+    ({"i_b": 0.0001, "t_max": 1e6}, 3, "numeric failure: fluxon did not reach x = 34.0 "
+                                       "within the wait t = 2450 (i_b = 0.0001)\n"),
+    (dict(RESTING_KINK, require_exit=False), 2,
+     "error: invalid ljj: length / dx gives 801 grid points, which over 8e+31 steps of "
+     "t_max / dt make more than 1e+09 point-steps\n")], ids=["resting", "slow", "no-exit"])
+def test_fluxon_that_never_exits_ends_in_seconds_and_writes_nothing(tmp_path, ljj, rc, stderr):
+    """A fluxon that must exit waits no longer than the default budget, whatever t_max:
+    the resting kink would take 8e31 steps, and the slow one (speed 0.00157) would exit
+    after ~1.4e6.  Without require_exit, t_max sets the step count, which is refused."""
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps({"ljj": ljj}))
+    proc = subprocess.run([sys.executable, "-m", "picopulse.cli", "shape", "--config",
+                           str(path), "--out", str(tmp_path / "out")],
+                          env=subprocess_env(), capture_output=True, text=True, timeout=20)
+    assert proc.returncode == rc
+    assert proc.stderr == stderr
     assert list((tmp_path / "out").iterdir()) == []
 
 
