@@ -166,21 +166,179 @@ def _select(raw, key: str, table: dict, where: str) -> str:
 
 
 _CSV_BLOCK = 4096  # cells whose texts are held at once
+_REPR_MAX = 24  # characters in the longest repr of a float64, '-2.2250738585072014e-308'
+_NEAR = 1e-6  # this close to a tie or to the edge of what reads back as x, repr decides
+
+
+def _pow10(k: int) -> tuple[float, float, float, float]:
+    """10**k as hi + lo, two doubles from exact integers (``int / int`` rounds
+    correctly), then hi split into halves for Dekker's exact product."""
+    if k >= 0:
+        hi = float(10**k)
+        lo = float(10**k - int(hi))
+    else:
+        den = 10**-k
+        hi = 1 / den
+        num, pow2 = hi.as_integer_ratio()
+        lo = (pow2 - num * den) / (pow2 * den)
+    c = hi * 134217729.0  # 2**27 + 1
+    big = c - (c - hi)
+    return hi, lo, big, hi - big
+
+
+def _shortest_digits(x, powers: dict):
+    """repr's digits of each float64 in ``x`` that a double-double product decides.
+
+    Returns ``sure``, ``digits``, ``count`` and ``decpt``: where ``sure``, repr(x) has the
+    leading ``count`` of the 17 digits of ``digits`` (the rest are zeros) and
+    |x| = 0.ddd * 10**decpt.  Elsewhere repr must decide: zero, subnormal, beyond
+    1e+-280, inf or nan; a power of two, whose gap below is half the gap above; 14
+    digits or fewer, which may be shorter still; log10 one off; or within ``_NEAR`` of a
+    tie or of the edge of the values that read back as x.  ``powers`` caches
+    :func:`_pow10` by k.
+    """
+    a = np.abs(x)
+    sure = (a >= 1e-280) & (a <= 1e280) & (x.view(np.uint64) & (2**52 - 1) != 0)
+    a[~sure] = 1.5  # any such number keeps the arithmetic below free of warnings
+    k = (16 - np.floor(np.log10(a))).astype(np.intp)
+    k0, k1 = int(k.min(initial=16)), int(k.max(initial=16))  # 16 keeps an empty x valid
+    for j in range(k0, k1 + 1):
+        if j not in powers:
+            powers[j] = _pow10(j)
+    # a table made per block, not kept across blocks: a longer-lived one let the
+    # process's memory creep up by ~2 KB a scan pass
+    table = np.array([powers[j] for j in range(k0, k1 + 1)]).T
+    ph, pl, bh, bl = (row.take(k - k0) for row in table)
+    # s = |x| * 10**k, in [1e16, 1e17), is h + err: Dekker's exact product with hi,
+    # plus the rounded product with lo, the two good to ~1e-15 in units of s
+    h = a * ph
+    c = a * 134217729.0
+    ah = c - (c - a)
+    al = np.subtract(a, ah, out=c)
+    err = ah * bh - h
+    err += np.multiply(ah, bl, out=ah)
+    err += np.multiply(al, bh, out=bh)
+    err += np.multiply(al, bl, out=bl)
+    err += np.multiply(a, pl, out=pl)
+    del ah, al, bh, bl, pl  # freed as soon as spent, so a block's arrays stay small
+    whole = np.floor(err)
+    n = h.astype(np.int64) + whole.astype(np.int64)
+    f = np.subtract(err, whole, out=err)  # s = n + f, 0 <= f < 1
+    del h, whole
+    # half the gap between x and either neighbour, 2**(exponent - 53), in units of s
+    half = np.multiply(((a.view(np.uint64) & (0x7FF << 52)) - (53 << 52)).view(float), ph,
+                       out=ph)
+    del a
+    # the integer parts of the edges s - half and s + half of what reads back as x
+    ends = []
+    for side in (np.subtract, np.add):
+        edge = side(f, half)
+        low = np.floor(edge)
+        sure &= np.abs(edge - low - 0.5) < 0.5 - _NEAR
+        ends.append(n + low.astype(np.int64))
+    lo, hi = ends
+    del ends, edge, low, half
+    # 17 - drop digits fit, where a multiple of 10**drop lies between the edges
+    drop = (hi // 10 > lo // 10).astype(np.intp)
+    drop += hi // 100 > lo // 100
+    drop += hi // 1000 > lo // 1000
+    del lo, hi
+    sure &= (drop < 3) & (n >= 10**16) & (n < 10**17)
+    # repr's digits are the multiple of that step nearest s
+    step = np.array([1, 10, 100, 1000]).take(drop)
+    base = n // step * step
+    t = (n - base) + f
+    del n, f
+    sure &= np.abs(t - step / 2) > _NEAR
+    base += step * (t > step / 2)
+    return sure, base, 17 - drop, 17 - k
+
+
+def _repr_chars(x, powers: dict):
+    """``chars`` (len(x), _REPR_MAX + 1) uint8 and ``lengths``: ``chars[i, :lengths[i]]``
+    is repr(x[i]) in ASCII.  Rows with one sign and point place lay out together, so
+    an ``x`` sorted by its bits takes few slices."""
+    m = len(x)
+    sure, digits, count, decpt = _shortest_digits(x, powers)
+    # the 17 digit characters, one row each, from two int32 halves
+    top = (digits // 10**9).astype(np.int32)
+    low = (digits - digits // 10**9 * 10**9).astype(np.int32)
+    d = np.empty((17, m), np.uint8)  # wraps modulo 256; digit = q - 10 * (q // 10)
+    d[:8] = top // 10 ** np.arange(7, -1, -1, dtype=np.int32)[:, None]
+    d[8:] = low // 10 ** np.arange(8, -1, -1, dtype=np.int32)[:, None]
+    d[9:] -= 10 * d[8:16]
+    d[1:8] -= 10 * d[:7]
+    d += ord("0")
+    neg = np.signbit(x)
+    fixed = (decpt > -4) & (decpt <= 16)
+    # repr's layouts: 0.000ddd, ddd.ddd, ddd00.0 for -4 < decpt <= 16, else d.ddde+XX
+    text = np.empty((_REPR_MAX + 1, m), np.uint8)
+    point = np.where(fixed, decpt, 17)
+    key = np.where(sure, 2 * point + neg, 99)
+    first = np.ones(m, bool)  # where a run of one layout starts
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first).tolist()
+    text[0] = ord("-")  # overwritten where there is no sign
+    for s, e, k in zip(starts, starts[1:] + [m], key[starts].tolist()):
+        if k == 99:
+            continue
+        point, sign = divmod(k, 2)
+        if point == 17:  # d.ddd, then the exponent below
+            point = 1
+        elif point <= 0:  # 0.000ddd
+            lead = 2 - point
+            text[sign:sign + lead, s:e] = np.frombuffer(b"0.000", np.uint8)[:lead, None]
+            text[sign + lead:sign + lead + 17, s:e] = d[:, s:e]
+            continue
+        text[sign:sign + point, s:e] = d[:point, s:e]
+        text[sign + point, s:e] = ord(".")
+        text[sign + point + 1:sign + 18, s:e] = d[point:, s:e]
+    lengths = neg + np.where(fixed, np.maximum(decpt, 1) + 1 + np.maximum(count - decpt, 1),
+                             count + 5)
+    ex = np.flatnonzero(sure & ~fixed)  # the exponent, two digits or three
+    power = decpt[ex] - 1
+    size = np.abs(power)
+    lengths[ex] += size >= 100
+    end = lengths[ex]
+    for place, back in ((100, 3), (10, 2), (1, 1)):  # a sign then covers a hundreds 0
+        text[end - back, ex] = size // place % 10 + ord("0")
+    at = neg[ex] + count[ex] + 1
+    text[at, ex] = ord("e")
+    text[at + 1, ex] = np.where(power < 0, ord("-"), ord("+"))
+    chars = text.T.copy()
+    del text
+    slow = np.flatnonzero(~sure)
+    texts = list(map(repr, x[slow].tolist()))
+    chars[slow, :_REPR_MAX] = np.frombuffer(
+        "".join(t.ljust(_REPR_MAX) for t in texts).encode(), np.uint8).reshape(-1, _REPR_MAX)
+    lengths[slow] = list(map(len, texts))
+    return chars, lengths
 
 
 def _write_csv(path: Path, comments: list[str], header: list[str],
                rows) -> None:
     rows = np.ascontiguousarray(rows, dtype=float)
-    block = max(1, _CSV_BLOCK // max(1, rows.shape[-1]))
+    width = rows.shape[-1]
+    block = max(1, _CSV_BLOCK // max(1, width))
+    upto = np.arange(_REPR_MAX + 1) <= np.arange(_REPR_MAX + 2)[:, None]  # upto[n, j]: j <= n
+    powers = {}
     with path.open("w", encoding="utf-8") as f:
         f.write("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n")
         for start in range(0, len(rows), block):
             # each distinct value of a block, told apart by its bits (-0.0 is not 0.0),
-            # is formatted once
-            part = rows[start:start + block]
-            bits, index = np.unique(part.view(np.uint64), return_inverse=True)
-            texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
-            f.write("\n".join(map(",".join, texts[index.reshape(part.shape)].tolist())) + "\n")
+            # is formatted once, and sorted by its bits it shares a layout with its
+            # neighbours
+            bits, index = np.unique(rows[start:start + block].view(np.uint64),
+                                    return_inverse=True)
+            chars, lengths = _repr_chars(bits.view(float), powers)
+            chars[np.arange(len(bits)), lengths] = ord(",")
+            index = index.ravel()
+            cells = chars.take(index, axis=0)
+            lengths = lengths.take(index)
+            del bits, chars
+            ends = np.arange(width - 1, len(index), width)
+            cells[ends, lengths[ends]] = ord("\n")
+            f.write(cells[upto.take(lengths, axis=0)].tobytes().decode("ascii"))
 
 
 def _write_json(path: Path, payload: dict) -> Path:
@@ -359,7 +517,10 @@ def cmd_shape(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
         _write_csv(dpath, ["plateau duration of the loop-flux pulse"],
                    ["i_b", "duration"], rows)
         written.append(dpath)
-    return written, {}
+    # fluxon health: manifest only, never the hashed outputs
+    health = {"velocity": summary["velocity"], "charge_drift": summary["charge_drift"],
+              "power_balance_velocity": fluxshaper.power_balance_velocity(ljj.i_b, ljj.alpha)}
+    return written, {"health": health}
 
 
 def cmd_demo(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:

@@ -105,8 +105,11 @@ def hamiltonians(coeffs) -> np.ndarray:
     ops = _OPERATORS.get(c.shape[-1] if c.ndim else 0)
     if ops is None:
         raise ValueError(f"coefficient rows must have length 2 or 5, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError(f"Hamiltonian coefficients must be finite, got {c!r}")
+    finite = np.isfinite(c).all(axis=-1).ravel()
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"Hamiltonian coefficients must be finite, got row {i} of "
+                         f"{finite.size}: {c.reshape(-1, c.shape[-1])[i].tolist()}")
     n, d, _ = ops.shape
     return (c @ ops.reshape(n, d * d)).reshape(c.shape[:-1] + (d, d))
 

@@ -564,6 +564,11 @@ def end_to_end_demo(target: str, delta: float = math.tau * 0.25, j: float = 0.3,
     """
     from .protocols import calibrate_pulse
 
+    for name, value in (("delta", delta), ("j", j)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} must be finite")
+    if delta and not math.isfinite(math.tau / abs(delta)):
+        raise ValueError(f"delta = {delta} leaves the delay bound 2*pi/|delta| infinite")
     goal = target_state(target)
     ljj = ljj or LJJConfig()
     amp = amp or InterferometerConfig()

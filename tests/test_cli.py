@@ -321,6 +321,36 @@ def test_demo_manifest_reports_fluxon_health(tmp_path):
     assert "health" not in (out / "demo.json").read_text()
 
 
+def test_shape_manifest_reports_fluxon_health(tmp_path):
+    rc, out = run(tmp_path, "shape", {"ljj": {"i_b": 0.2}}, name="shape_health.json")
+    assert rc == 0
+    health = json.loads((out / "manifest.json").read_text())["health"]
+    summary = json.loads((out / "summary.json").read_text())
+    alpha = fluxshaper.LJJConfig().alpha
+    assert health == {"velocity": summary["velocity"], "charge_drift": summary["charge_drift"],
+                      "power_balance_velocity": power_balance_velocity(0.2, alpha)}
+    assert health["velocity"] == pytest.approx(health["power_balance_velocity"], rel=0.05)
+    # health stays out of the hashed outputs
+    for name in ("summary.json", "waveform.csv"):
+        assert "power_balance_velocity" not in (out / name).read_text()
+
+
+@pytest.mark.parametrize("field, value", [("delta", 1e308), ("delta", 5e-324),
+                                          ("delta", math.nan), ("j", 1e308), ("j", math.nan)])
+def test_demo_bad_delta_or_j_exits_2_before_the_solve(tmp_path, capsys, recwarn, monkeypatch,
+                                                      field, value):
+    """Non-finite after conversion to rad/ns, or a delay bound 2*pi/|delta| that
+    overflows: one line naming the field, and no LJJ solve first."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the LJJ solve ran")
+
+    monkeypatch.setattr(fluxshaper, "shape_control_pulse", no_solve)
+    rc, out = run(tmp_path, "demo", {"target": "inversion", field: value}, name="demo_bad.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, f"error: {field} = ")
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("kink_position", [39.9, 30.0])
 def test_shape_without_a_fluxon_velocity_exits_3_and_writes_nothing(tmp_path, capsys,
                                                                     kink_position):
@@ -974,11 +1004,17 @@ def test_shaped_demo_template_is_gone(tmp_path, capsys, recwarn):
     assert not (out / "manifest.json").exists()
 
 
-# one repr per distinct value: signed zeros, NaN payloads, subnormals and the
-# shortest-repr boundaries near 1e-4 and 1e16
+# one repr per distinct value: signed zeros, NaN payloads, subnormals, the layout
+# boundaries near 1e-4 and 1e16, powers of two (half the gap below as above), 1e22 and
+# 1e23 (one digit, far from the fast path's scale), 1 to 15 significant digits, a
+# 17-digit tie (repr rounds it to even) and 3-digit exponents of both signs
 CSV_VALUES = [0.0, -0.0, math.nan, *np.array([0x7FF8000000000001, 0xFFF0000000000001],
                                              dtype=np.uint64).view(float).tolist(),
-              math.inf, -math.inf, 5e-324, 1e-5, 1e-4, 1e16, 9999999999999998.0]
+              math.inf, -math.inf, 5e-324, 1e-5, 1e-4, 1e16, 9999999999999998.0,
+              0.5, 1.0, 2.0**-30, 2.0**60, 1e22, 1e23,
+              *[math.nextafter(v, t) for v in (1e-4, 1e16) for t in (0.0, math.inf)],
+              0.1, 0.25, 123456789012345.0, 1125899906842624.25, -1125899906842624.75,
+              1.2345678901234567e-123, -9.876543210987654e+200, 1e-280, 1e280]
 
 
 @settings(max_examples=30, deadline=None)
@@ -994,6 +1030,39 @@ def test_write_csv_writes_repr_of_every_cell(tmp_path_factory, shape, seed, extr
     cli._write_csv(path, ["c"], ["h"], rows)
     body = "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist())
     assert path.read_bytes() == ("# c\nh\n" + body).encode()
+
+
+@pytest.mark.parametrize("kind", ["bits", "uniform"])
+def test_write_csv_writes_repr_of_random_values(tmp_path, kind):
+    """200k random 64-bit patterns (every sign, exponent, nan and inf) or uniform
+    [0, 1) values, byte for byte as repr writes them."""
+    rng = np.random.default_rng(27)
+    if kind == "bits":
+        rows = rng.integers(0, 2**64, (2000, 100), dtype=np.uint64).view(float)
+    else:
+        rows = rng.random((2000, 100))
+    cli._write_csv(tmp_path / "rows.csv", ["c"], ["h"], rows)
+    body = "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist())
+    assert (tmp_path / "rows.csv").read_bytes() == ("# c\nh\n" + body).encode()
+
+
+def test_write_csv_writes_repr_of_every_power_of_two(tmp_path):
+    """The gap below a power of two is half the gap above, so the digits nearest it
+    may not read back where the next ones up do; a quarter of them would go wrong
+    with symmetric gaps."""
+    rows = np.array([[2.0**e, -2.0**e] for e in range(-1074, 1024)])
+    cli._write_csv(tmp_path / "rows.csv", ["c"], ["h"], rows)
+    body = "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist())
+    assert (tmp_path / "rows.csv").read_bytes() == ("# c\nh\n" + body).encode()
+
+
+def test_repr_digits_leave_few_values_to_repr():
+    """The double-double product decides all but a few uniform values; had it
+    given up on them, the bytes would still match but the writer would lose its speed."""
+    x = np.random.default_rng(0).random(10_000)
+    sure, digits, count, decpt = cli._shortest_digits(x, {})
+    assert sure.mean() > 0.98
+    assert set(count[sure].tolist()) <= {15, 16, 17}
 
 
 def test_write_csv_holds_one_block_of_texts(tmp_path):

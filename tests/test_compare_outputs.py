@@ -2,6 +2,8 @@
 with the manifest's ``health`` entry compared as an output."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,18 @@ def test_a_failed_run_is_counted(tmp_path):
                          "open/manifest.json:health: identical"]
     assert lines[3] == "bad: FAILED base exit 2, new exit 2"
     assert counts == {"outputs": 3, "identical": 3, "failed": 1}
+
+
+def test_health_of_one_tree_only_is_reported_so(tmp_path, monkeypatch):
+    def fake_run(tree, command, config, out):
+        (out / "out").mkdir(parents=True)
+        extra = {"health": {"velocity": 0.9}} if tree.name == "new" else {}
+        (out / "out" / "manifest.json").write_text(json.dumps(extra))
+        (out / "out" / "summary.json").write_text("{}")
+        return subprocess.CompletedProcess([], 0)
+
+    monkeypatch.setattr(compare_outputs, "run", fake_run)
+    lines, counts = compare_outputs.compare(tmp_path / "base", tmp_path / "new",
+                                            [("shape", "shape", {})], tmp_path)
+    assert lines == ["shape/summary.json: identical", "shape/manifest.json:health: only in new"]
+    assert counts == {"outputs": 2, "identical": 1, "failed": 0}

@@ -44,6 +44,16 @@ def test_two_qubit_is_kron_sum():
     assert np.allclose(h, np.kron(h1, np.eye(2)) + np.kron(np.eye(2), h2))
 
 
+def test_hamiltonians_name_the_first_non_finite_row():
+    """One row of a large stack, not the whole stack, in the message."""
+    rows = np.zeros((227, 5))
+    rows[3:, :2] = np.inf
+    with pytest.raises(ValueError, match=r"row 3 of 227: \[inf, inf, 0.0, 0.0, 0.0\]$"):
+        core.hamiltonians(rows)
+    with pytest.raises(ValueError, match=r"row 0 of 1: \[nan, 1.0\]$"):
+        core.hamiltonians([np.nan, 1.0])
+
+
 def test_check_state_rejects_unnormalized():
     with pytest.raises(ValueError):
         core.check_state([1.0, 1.0])

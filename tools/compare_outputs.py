@@ -11,7 +11,8 @@ output file, and for the ``health`` entry of ``manifest.json`` as
 ``<call>/manifest.json:health`` (the rest of the manifest holds wall times), the
 report says ``identical``, gives the largest absolute difference between the
 numbers of the two, or says that only the sign of a zero differs or that equal
-numbers are written differently (``1e-05`` and ``1.0e-05``).  The exit
+numbers are written differently (``1e-05`` and ``1.0e-05``), or that the output or
+the ``health`` entry is only in one tree.  The exit
 status is 1 if any run exits non-zero on either side, and 0 otherwise, whatever
 the differences.
 """
@@ -116,7 +117,8 @@ def compare(base: Path, new: Path, calls, scratch: Path) -> tuple[list[str], dic
         health = [json.dumps(json.loads((outs[side] / "manifest.json").read_text(
             encoding="utf-8")).get("health")) for side in ("base", "new")]
         if health != ["null", "null"]:
-            verdicts.append(("manifest.json:health", difference(*health)))
+            verdicts.append(("manifest.json:health", difference(*health) if "null" not in health
+                             else f"only in {'base' if health[1] == 'null' else 'new'}"))
         for label, verdict in verdicts:
             lines.append(f"{name}/{label}: {verdict}")
             counts["outputs"] += 1
