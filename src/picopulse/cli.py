@@ -473,8 +473,11 @@ def cmd_calibrate(config: dict, out: Path, scale: dict) -> tuple[list[Path], dic
     return [_write_json(out / "calibration.json", _calibration_json(result))], {}
 
 
-# a topological charge farther than this from 1 is not one fluxon
-CHARGE_DRIFT_MAX = 0.5
+def _fluxon_health(meta: dict, ljj) -> dict:
+    """The manifest's fluxon health, never written to the hashed outputs."""
+    from .fluxshaper import power_balance_velocity
+    return {"velocity": meta["velocity"], "charge_drift": meta["charge_drift"],
+            "power_balance_velocity": power_balance_velocity(ljj.i_b, ljj.alpha)}
 
 
 def cmd_shape(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
@@ -496,15 +499,6 @@ def cmd_shape(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
     summary = {"duration": fluxshaper.plateau_duration(wave),
                "peak": fluxshaper.peak_amplitude(wave), "samples": len(wave.samples),
                "velocity": wave.meta["velocity"], "charge_drift": wave.meta["charge_drift"]}
-    bad = [k for k, v in summary.items() if not math.isfinite(v)]
-    if bad:
-        raise ArithmeticError(f"summary.json's {', '.join(bad)} is not finite")
-    if summary["charge_drift"] > CHARGE_DRIFT_MAX:
-        raise ArithmeticError(f"charge_drift = {summary['charge_drift']:.3g} exceeds "
-                              f"{CHARGE_DRIFT_MAX}: the junction no longer holds one fluxon")
-    if not 0 < summary["velocity"] < 1:  # at 1, the Swihart velocity, the grid is too coarse
-        raise ArithmeticError(f"velocity = {summary['velocity']:.5g} is not in (0, 1): the "
-                              "fluxon did not travel toward the far end, or outran the grid")
     path = out / "waveform.csv"
     _write_csv(path, [f"stage = {wave.meta.get('stage')}",
                       f"config = {wave.meta.get('config')}"],
@@ -517,10 +511,7 @@ def cmd_shape(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
         _write_csv(dpath, ["plateau duration of the loop-flux pulse"],
                    ["i_b", "duration"], rows)
         written.append(dpath)
-    # fluxon health: manifest only, never the hashed outputs
-    health = {"velocity": summary["velocity"], "charge_drift": summary["charge_drift"],
-              "power_balance_velocity": fluxshaper.power_balance_velocity(ljj.i_b, ljj.alpha)}
-    return written, {"health": health}
+    return written, {"health": _fluxon_health(wave.meta, ljj)}
 
 
 def cmd_demo(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
@@ -540,10 +531,7 @@ def cmd_demo(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
                ["t", "p_dd", "p_ud", "p_du", "p_uu"],
                np.column_stack([traj.times, pops]))
     written.append(tpath)
-    meta = result.waveform.meta  # fluxon health: manifest only, never the hashed outputs
-    health = {"velocity": meta["velocity"], "charge_drift": meta["charge_drift"],
-              "power_balance_velocity": fluxshaper.power_balance_velocity(ljj.i_b, ljj.alpha)}
-    return written, {"health": health}
+    return written, {"health": _fluxon_health(result.waveform.meta, ljj)}
 
 
 # ---------------------------------------------------------------------------

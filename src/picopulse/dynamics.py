@@ -20,7 +20,7 @@ with s+ = |1><0|, so relaxation drives |1> -> |0>; temperature is neglected and
 the dissipators act at all times.  Each superoperator ``L`` gets one ``eig`` in
 the Pauli basis ``P``, which keeps the trace: ``left = P^-1 V`` and
 ``right = V^-1 P``.  An ``L`` whose ``cond(V)`` exceeds :data:`EIG_COND_MAX`, as
-near an exceptional point, falls back to ``scipy.linalg.expm``, imported only then.
+near an exceptional point, falls back to scaling and squaring, :func:`_expm`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .core import (
 #: a sample time at most this far (ns) past a segment end is taken from that segment
 BOUNDARY_TOL = 1e-12
 #: a Lindblad superoperator whose eigenvector matrix has a larger condition number is
-#: exponentiated by ``scipy.linalg.expm`` instead of from its eigensystem
+#: exponentiated by :func:`_expm` instead of from its eigensystem
 EIG_COND_MAX = 1e3
 #: a segment phase ``|Im(lambda) dt|`` (rad) past this, ~4.5e9, is not resolved modulo
 #: 2 pi: its rounding error ``|phase| eps`` would pass 1e-6
@@ -234,13 +234,31 @@ def _unitary_exponential(vals, vecs):
     return _eigenbasis_exponential(-1j * vals, vecs, np.conj(np.swapaxes(vecs, -1, -2)))
 
 
+def _expm(mats):
+    """``exp(A)`` of a stack ``(..., d, d)`` by scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 1179 (2005)): a degree-18 Taylor polynomial of ``A / 2**s``, with one
+    ``s`` for the stack so that ``|A / 2**s|_1 <= 1/2``, squared ``s`` times.  A non-finite
+    result raises ``ArithmeticError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = max(0, math.frexp(float(np.abs(mats).sum(axis=-2).max()))[1] + 1)
+        a, eye = mats * 0.5**s, np.eye(mats.shape[-1])
+        out = eye + a / 18
+        for k in range(17, 0, -1):
+            out = eye + a @ out / k
+        for _ in range(s):
+            out = out @ out
+    if not np.isfinite(out).all():
+        raise ArithmeticError("a segment's exp(G dt) is not finite: its squares overflow")
+    return out
+
+
 def _superoperator_exponentials(lops):
     """The eigenbasis exponential of superoperators ``L (n, 4, 4)`` from one stacked ``eig``.
 
     ``eig`` is taken in the Pauli basis: there a trace-preserving ``L``'s first row is
     exactly zero, so ``eig`` isolates its zero eigenvalue and the exponential keeps the
     trace to rounding at every ``dt``.  An ``L`` with ``cond(V) > EIG_COND_MAX``, a
-    defective one included, is exponentiated by ``scipy.linalg.expm`` at each ``dt``.
+    defective one included, is exponentiated by :func:`_expm` at each ``dt``.
     """
     vals, vecs = np.linalg.eig(_PAULI @ lops @ _PAULI_INV)
     good = np.linalg.cond(vecs) <= EIG_COND_MAX
@@ -255,9 +273,7 @@ def _superoperator_exponentials(lops):
         out = exponential(ks, dts, starts, out)
         bad = ~good[ks]
         if bad.any():
-            import scipy.linalg
-
-            mats = scipy.linalg.expm(lops[ks[bad]] * dts[bad, None, None])
+            mats = _expm(lops[ks[bad]] * dts[bad, None, None])
             out[bad] = mats if starts is None else (mats @ starts[ks[bad], :, None])[..., 0]
         return out
 

@@ -440,6 +440,10 @@ def peak_amplitude(wave: Waveform) -> float:
     return float(wave.samples[i])
 
 
+# a topological charge farther than this from 1 is not one fluxon
+CHARGE_DRIFT_MAX = 0.5
+
+
 def shape_control_pulse(ljj: LJJConfig, amp: InterferometerConfig,
                         energy_scale: float, time_scale: float = 1.0) -> Waveform:
     """Full pipeline: fluxon -> loop flux -> amplitude stage -> drive waveform.
@@ -449,12 +453,23 @@ def shape_control_pulse(ljj: LJJConfig, amp: InterferometerConfig,
     into ns (set by the junction plasma frequency); both must be finite and
     > 0 (checked before the LJJ solve), and ``time_scale`` must keep the
     sample period > 0 and the duration finite.  The fluxon's ``velocity``
-    and ``charge_drift`` from the LJJ solve are handed out in ``meta``.
+    and ``charge_drift`` from the LJJ solve are handed out in ``meta``; a
+    non-finite one, a drift past :data:`CHARGE_DRIFT_MAX` or a velocity
+    outside (0, 1) raises ``ArithmeticError`` before the amplitude stage.
     """
     for name, scale in (("energy_scale", energy_scale), ("time_scale", time_scale)):
         if not (scale > 0 and math.isfinite(scale)):
             raise ValueError(f"{name} must be finite and > 0, got {scale}")
     result = simulate_ljj_fluxon(ljj)
+    bad = [k for k in ("velocity", "charge_drift") if not math.isfinite(getattr(result, k))]
+    if bad:  # the CLI's summary.json, written from these, takes no nan
+        raise ArithmeticError(f"summary.json's {', '.join(bad)} is not finite")
+    if result.charge_drift > CHARGE_DRIFT_MAX:
+        raise ArithmeticError(f"charge_drift = {result.charge_drift:.3g} exceeds "
+                              f"{CHARGE_DRIFT_MAX}: the junction no longer holds one fluxon")
+    if not 0 < result.velocity < 1:  # at 1, the Swihart velocity, the grid is too coarse
+        raise ArithmeticError(f"velocity = {result.velocity:.5g} is not in (0, 1): the "
+                              "fluxon did not travel toward the far end, or outran the grid")
     loop = loop_flux_waveform(result, ljj)
     current = simulate_amplitude_stage(loop, amp)
     dt = current.dt * time_scale

@@ -506,11 +506,12 @@ def test_lindblad_finals_reject_bad_durations(bad):
 
 
 def count_eig_and_expm(monkeypatch):
-    """Record the shape of every ``np.linalg.eig`` and ``scipy.linalg.expm`` call."""
+    """Record the shape of every ``np.linalg.eig`` call and every call of the fallback's
+    scaling and squaring, ``dynamics._expm``."""
     calls = {"eig": [], "expm": []}
-    for module, name in ((np.linalg, "eig"), (scipy.linalg, "expm")):
-        def counted(a, _f=getattr(module, name), _name=name):
-            calls[_name].append(np.shape(a))
+    for module, name, key in ((np.linalg, "eig", "eig"), (dynamics, "_expm", "expm")):
+        def counted(a, _f=getattr(module, name), _key=key):
+            calls[_key].append(np.shape(a))
             return _f(a)
         monkeypatch.setattr(module, name, counted)
     return calls
@@ -610,7 +611,8 @@ def test_sampled_lindblad_makes_one_stacked_eig(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the eigenvector exponential and its expm fallback for ill-conditioned superoperators
+# the eigenvector exponential and its scaling-and-squaring fallback for ill-conditioned
+# superoperators, against scipy.linalg.expm
 
 def relaxation_superoperators(drives):
     """``L`` for resonant drives at gamma = 1, gamma_phi = 0: it is defective (an
@@ -626,28 +628,35 @@ def exponentials(lops, dts, starts=None):
 
 
 def test_generators_at_and_near_an_exceptional_point_take_the_fallback(monkeypatch):
+    """At one duration, and at durations 0 to 40 that share one scaling of the stack."""
     lops = relaxation_superoperators(0.25 + np.linspace(-1e-7, 1e-7, 21))
-    ref = scipy.linalg.expm(lops * 3.0)
     starts = np.random.default_rng(5).normal(size=(21, 4))
     calls = count_eig_and_expm(monkeypatch)
-    out = exponentials(lops, np.full(21, 3.0))
-    assert calls == {"eig": [(21, 4, 4)], "expm": [(21, 4, 4)]}
-    assert np.max(np.abs(out - ref)) <= 1e-12
-    states = exponentials(lops, np.full(21, 3.0), starts)
-    assert np.max(np.abs(states - (ref @ starts[..., None])[..., 0])) <= 1e-12
+    for dts in (np.full(21, 3.0), np.linspace(0.0, 40.0, 21)):
+        ref = scipy.linalg.expm(lops * dts[:, None, None])
+        calls["eig"].clear()
+        calls["expm"].clear()
+        out = exponentials(lops, dts)
+        assert calls == {"eig": [(21, 4, 4)], "expm": [(21, 4, 4)]}
+        assert np.max(np.abs(out - ref)) <= 1e-12
+        states = exponentials(lops, dts, starts)
+        assert np.max(np.abs(states - (ref @ starts[..., None])[..., 0])) <= 1e-12
 
 
 def test_generators_around_an_exceptional_point_match_expm(monkeypatch):
-    """Some of these fall back and some do not; both sides of the guard stay within 1e-12."""
+    """Some of these fall back and some do not; both sides of the guard stay within 1e-12,
+    at one duration and at durations 0 to 40."""
     lops = relaxation_superoperators(0.25 + np.linspace(-1e-5, 1e-5, 201))
-    ref = scipy.linalg.expm(lops * 3.0)
     starts = np.random.default_rng(6).normal(size=(201, 4))
     calls = count_eig_and_expm(monkeypatch)
-    out = exponentials(lops, np.full(201, 3.0))
-    assert len(calls["expm"]) == 1 and 0 < calls["expm"][0][0] < len(lops)
-    assert np.max(np.abs(out - ref)) <= 1e-12
-    states = exponentials(lops, np.full(201, 3.0), starts)
-    assert np.max(np.abs(states - (ref @ starts[..., None])[..., 0])) <= 1e-12
+    for dts in (np.full(201, 3.0), np.linspace(0.0, 40.0, 201)):
+        ref = scipy.linalg.expm(lops * dts[:, None, None])
+        calls["expm"].clear()
+        out = exponentials(lops, dts)
+        assert len(calls["expm"]) == 1 and 0 < calls["expm"][0][0] < len(lops)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+        states = exponentials(lops, dts, starts)
+        assert np.max(np.abs(states - (ref @ starts[..., None])[..., 0])) <= 1e-12
 
 
 def test_jordan_blocks_take_the_fallback(monkeypatch):
@@ -743,20 +752,24 @@ def test_state_form_is_the_matrix_form_applied_to_the_starts(stack):
 
 
 def test_closed_sampling_computes_no_cond_or_inv_and_imports_no_scipy(monkeypatch):
-    """``sample_states`` never reaches the open system's set-up or its ``expm`` fallback;
-    the superoperator stack shows that the counters and the import block see them."""
+    """``sample_states`` never reaches the open system's set-up or its fallback; the
+    superoperator stack shows that the counters see them, and that its fallback at the
+    exceptional point runs with every scipy import blocked."""
+    ref = scipy.linalg.expm(relaxation_superoperators([0.25]))
     calls = {"cond": 0, "inv": 0}
     for name in calls:
         def counted(a, _f=getattr(np.linalg, name), _name=name):
             calls[_name] += 1
             return _f(a)
         monkeypatch.setattr(np.linalg, name, counted)
-    monkeypatch.setitem(sys.modules, "scipy.linalg", None)  # any import of it fails
+    for name in ("scipy", "scipy.linalg"):
+        monkeypatch.setitem(sys.modules, name, None)  # any import of it fails
     hams = core.hamiltonians(np.random.default_rng(9).uniform(-40, 40, (3, 4, 5)))
     states = dynamics.sample_states(hams, [0.1, 0.2, 0.0, 0.3], np.eye(4)[0],
                                     np.linspace(-0.1, 0.7, 50))
     assert states.shape == (3, 50, 4) and calls == {"cond": 0, "inv": 0}
     exponential, _ = generator_stacks()["superoperator"]
     assert calls == {"cond": 1, "inv": 1}
-    with pytest.raises(ImportError):
-        exponential([0], [1.0])
+    fallbacks = count_eig_and_expm(monkeypatch)["expm"]
+    assert np.max(np.abs(exponential([0], [1.0]) - ref)) <= 1e-12
+    assert fallbacks == [(1, 4, 4)]

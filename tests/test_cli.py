@@ -378,7 +378,7 @@ def test_shape_whose_charge_breaks_exits_3_and_writes_nothing(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numeric failure: charge_drift = ")
-    assert f"exceeds {cli.CHARGE_DRIFT_MAX}" in err[0]
+    assert f"exceeds {fluxshaper.CHARGE_DRIFT_MAX}" in err[0]
     assert list(out.iterdir()) == []
 
 

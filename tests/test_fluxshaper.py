@@ -321,6 +321,17 @@ def test_inversion_demo_keeps_the_tail_at_its_seed():
     assert demo.fidelity >= 0.99
 
 
+def test_demo_refuses_a_fluxon_that_outruns_the_grid(monkeypatch):
+    """Undamped and biased, the fluxon reads 1.0015, above the Swihart velocity 1: the
+    library refuses it as ``shape`` does, before the amplitude stage and the calibration."""
+    def no_amplitude_stage(*args):
+        raise AssertionError("the amplitude stage ran")
+
+    monkeypatch.setattr(fs, "simulate_amplitude_stage", no_amplitude_stage)
+    with pytest.raises(ArithmeticError, match=r"velocity = 1\.0015 is not in \(0, 1\)"):
+        fs.end_to_end_demo("inversion", ljj=fs.LJJConfig(i_b=0.9, alpha=0.0))
+
+
 @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0])
 def test_waveform_sample_period_must_be_finite_and_positive(dt):
     with pytest.raises(ValueError, match="sample period"):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -42,21 +43,34 @@ def test_readme_example_runs(tmp_path, command, config):
             assert json.loads((out / name).read_text())["converged"] is True
 
 
-def test_readme_lindblad_scan_loads_no_scipy(tmp_path):
-    """The open-system scan exponentiates its generators without importing scipy."""
-    (config,) = [config for command, config in EXAMPLES if command == "lindblad"]
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
+def test_readme_examples_run_without_scipy(tmp_path):
+    """Every README example, each JSON config through the CLI and the library blocks in
+    order, runs in a fresh interpreter in which any scipy import fails, and loads no
+    scipy module."""
+    runs = []
+    for i, (command, config) in enumerate(EXAMPLES):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(config))
+        runs.append([command, "--config", str(path), "--out", str(tmp_path / f"out{i}")])
+    code = textwrap.dedent("""\
+        import json, sys
+        sys.modules["scipy"] = None  # any import of it fails
+        from picopulse.cli import main
+        runs, blocks = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+        rcs = [main(argv) for argv in runs]
+        namespace = {}
+        for block in blocks:
+            exec(block, namespace)
+        print(rcs, [m for m, v in sys.modules.items() if m.split(".")[0] == "scipy" and v])
+    """)
     src = str(Path(picopulse.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys; from picopulse.cli import main; rc = main(sys.argv[1:]); "
-            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code, "lindblad", "--config", str(path),
-                          "--out", str(tmp_path / "out")],
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs),
+                          json.dumps(library_blocks())],
                          env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "0 []"
-    assert (tmp_path / "out" / "lindblad.csv").exists()
+    assert out.stdout.splitlines()[-1] == f"{[0] * len(runs)} []"
+    assert all(any((tmp_path / f"out{i}").iterdir()) for i in range(len(runs)))
 
 
 def library_blocks() -> list[str]:
