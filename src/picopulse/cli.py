@@ -16,8 +16,10 @@ length whose entries share one unit, and a ``complex`` entry is a number or an
 ``[re, im]`` pair.  Neither a bool nor a string is a number in any numeric
 field.  A sweep's
 axis1 is a frequency and its axis2 a time in every kind; the axis ``name`` only
-labels the CSV.  A missing field or an unknown key, at any depth, is a config
-error.  Outputs, and the numbers in library errors, are in rad/ns and ns.
+labels the CSV.  An :class:`Opt` field left out is not passed on, so the library
+call takes its own default.  Any other missing field, or an unknown key, at any
+depth, is a config error.  Outputs, and the numbers in library errors, are in
+rad/ns and ns.
 """
 
 from __future__ import annotations
@@ -52,10 +54,9 @@ _SCALES = {"cyclic-ghz": {FREQ: math.tau, TIME: 1e-3}, "angular": {FREQ: 1.0, TI
 
 @dataclass(frozen=True)
 class Opt:
-    """An optional field: its unit and the value used when it is absent."""
+    """An optional field and its unit; when it is absent the library's default holds."""
 
     unit: object
-    default: object  # already in internal units
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class Items:
 _AXIS1 = {"name": str, "start": FREQ, "stop": FREQ, "count": int}
 _AXIS2 = {"name": str, "start": TIME, "stop": TIME, "count": int}
 
-_OBSERVABLE = {"observable": Opt(int, 0)}
+_OBSERVABLE = {"observable": Opt(int)}
 # sweep kind -> (runner, fixed fields, further fields); only the qubit kinds pick an observable
 _SWEEPS = {
     "single": (protocols.sweep_single_pulse, {"delta": FREQ, "tau": TIME}, _OBSERVABLE),
@@ -86,12 +87,12 @@ _RAMSEY = {"amplitude": FREQ, "delta": FREQ, "tau": TIME,
            "tau_r": {"start": TIME, "stop": TIME, "count": int}}
 _LINDBLAD = {**_RAMSEY, "gamma": FREQ, "gamma_phi": FREQ}
 
-_TARGET = {"kind": str, "name": Opt(str, None), "vector": Opt(Items(complex), None)}
+_TARGET = {"kind": str, "name": Opt(str), "vector": Opt(Items(complex))}
 _CALIBRATE = {"target": _TARGET, "template": {"type": str, "delta": FREQ},
               "bounds": [[FREQ, FREQ], [TIME, TIME]], "seed": [FREQ, TIME],
-              "tol": Opt(float, 1e-4), "budget": Opt(int, 4000)}
+              "tol": Opt(float), "budget": Opt(int)}
 
-_DEMO = {"target": str, "delta": Opt(FREQ, math.tau * 0.25), "j": Opt(FREQ, 0.0)}
+_DEMO = {"target": str, "delta": Opt(FREQ), "j": Opt(FREQ)}
 
 
 def _check_keys(raw, allowed, where: str) -> None:
@@ -103,7 +104,7 @@ def _check_keys(raw, allowed, where: str) -> None:
 
 
 def _read(raw, schema: dict, scale: dict, where: str = "config") -> dict:
-    """Every field of ``schema`` read from ``raw`` and converted to internal units."""
+    """The fields of ``schema`` that ``raw`` gives, converted to internal units."""
     _check_keys(raw, schema, where)
     values = {}
     for key, unit in schema.items():
@@ -111,9 +112,7 @@ def _read(raw, schema: dict, scale: dict, where: str = "config") -> dict:
             path = key if where == "config" else f"{where}.{key}"
             values[key] = _convert(raw[key], unit.unit if isinstance(unit, Opt) else unit,
                                    scale, path)
-        elif isinstance(unit, Opt):
-            values[key] = unit.default
-        else:
+        elif not isinstance(unit, Opt):
             raise ConfigError(f"missing field {key!r} in {where}")
     return values
 
@@ -155,6 +154,11 @@ def _convert(value, unit, scale: dict, where: str):
         return unit(**value) if is_dataclass(unit) else unit(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+def _given(cfg: dict, *keys: str) -> dict:
+    """The optional fields among ``keys`` that ``cfg`` gives, to pass on by name."""
+    return {key: cfg[key] for key in keys if key in cfg}
 
 
 def _select(raw, key: str, table: dict, where: str) -> str:
@@ -389,8 +393,7 @@ def cmd_sweep(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
                          "fixed": fixed, **further}, scale)
     grids = runner(protocols.SweepSpec(axis1=protocols.Axis(**cfg["axis1"]),
                                        axis2=protocols.Axis(**cfg["axis2"]),
-                                       fixed=cfg["fixed"],
-                                       observable=cfg.get("observable", 0)))
+                                       fixed=cfg["fixed"], **_given(cfg, "observable")))
     if isinstance(grids, tuple):
         names = [f"grid_basis{i}" for i in range(len(grids))]
     else:
@@ -441,13 +444,13 @@ def _calibration_target(raw: dict):
     if raw["kind"] != "state":
         raise ConfigError(f"unsupported target kind {raw['kind']!r}; only 'state' "
                           "targets are accepted from configs")
-    if raw["name"] is not None and raw["vector"] is not None:
+    if "name" in raw and "vector" in raw:
         raise ConfigError("target.name and target.vector are exclusive; give one of them")
-    if raw["name"] is not None:
+    if "name" in raw:
         if raw["name"] != "flip":
             raise ConfigError(f"unknown target name {raw['name']!r}")
         return ("state", np.array([0.0, 1.0], dtype=complex))
-    if raw["vector"] is None:
+    if "vector" not in raw:
         raise ConfigError("missing field 'vector' in target")
     state = np.array(raw["vector"], dtype=complex)
     norm = np.linalg.norm(state)
@@ -469,7 +472,7 @@ def cmd_calibrate(config: dict, out: Path, scale: dict) -> tuple[list[Path], dic
         return protocols.single_pulse_schedule(p[0], p[1], delta)
 
     result = protocols.calibrate_pulse(target, template, cfg["bounds"], cfg["seed"],
-                                       tol=cfg["tol"], budget=cfg["budget"])
+                                       **_given(cfg, "tol", "budget"))
     return [_write_json(out / "calibration.json", _calibration_json(result))], {}
 
 
@@ -484,18 +487,17 @@ def cmd_shape(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
     from . import fluxshaper
     # normalized circuit units, and internal units for the two scales: nothing is converted
     cfg = _read(config, {
-        "ljj": Opt(fluxshaper.LJJConfig, fluxshaper.LJJConfig()),
-        "amp": Opt(fluxshaper.InterferometerConfig, fluxshaper.InterferometerConfig()),
-        "energy_scale": Opt(float, 1.0), "time_scale": Opt(float, 1.0),
-        "bias_sweep": Opt(Items(float), None)}, scale)
-    ljj = cfg["ljj"]
-    for i, bias in enumerate(cfg["bias_sweep"] or ()):  # each bias is a valid LJJ run
+        "ljj": Opt(fluxshaper.LJJConfig), "amp": Opt(fluxshaper.InterferometerConfig),
+        "energy_scale": Opt(float), "time_scale": Opt(float),
+        "bias_sweep": Opt(Items(float))}, scale)
+    ljj = cfg.get("ljj", fluxshaper.LJJConfig())
+    for i, bias in enumerate(cfg.get("bias_sweep", ())):  # each bias is a valid LJJ run
         try:
             replace(ljj, i_b=bias)
         except ValueError as exc:
             raise ConfigError(f"invalid bias_sweep[{i}]: {exc}") from exc
-    wave = fluxshaper.shape_control_pulse(ljj, cfg["amp"], cfg["energy_scale"],
-                                          cfg["time_scale"])
+    amp = cfg.get("amp", fluxshaper.InterferometerConfig())
+    wave = fluxshaper.shape_control_pulse(ljj, amp, **_given(cfg, "energy_scale", "time_scale"))
     summary = {"duration": fluxshaper.plateau_duration(wave),
                "peak": fluxshaper.peak_amplitude(wave), "samples": len(wave.samples),
                "velocity": wave.meta["velocity"], "charge_drift": wave.meta["charge_drift"]}
@@ -505,7 +507,7 @@ def cmd_shape(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
                ["t", "value"], np.column_stack([wave.times, wave.samples]))
     written = [path, _write_json(out / "summary.json", summary)]
 
-    if cfg["bias_sweep"] is not None:
+    if "bias_sweep" in cfg:
         rows = fluxshaper.duration_vs_bias(ljj, cfg["bias_sweep"])
         dpath = out / "duration_vs_bias.csv"
         _write_csv(dpath, ["plateau duration of the loop-flux pulse"],
@@ -521,7 +523,7 @@ def cmd_demo(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
     if name not in ("inversion", "entangled"):
         raise ConfigError(f"unknown demo target {name!r}")
     ljj = fluxshaper.LJJConfig()
-    result = fluxshaper.end_to_end_demo(name, delta=cfg["delta"], j=cfg["j"], ljj=ljj)
+    result = fluxshaper.end_to_end_demo(name, ljj=ljj, **_given(cfg, "delta", "j"))
     written = [_write_json(out / "demo.json", _calibration_json(result, target=name))]
 
     traj = result.trajectory

@@ -112,7 +112,7 @@ class Schedule:
 
     @property
     def total_duration(self) -> float:
-        return sum(self._durations.tolist())
+        return float(self.boundaries()[-1])
 
     def hamiltonians(self, controls=None) -> np.ndarray:
         """All segment Hamiltonians as one ``(n_seg, d, d)`` stack.
@@ -139,7 +139,7 @@ class Schedule:
 
     def boundaries(self) -> np.ndarray:
         """Cumulative segment end times, starting at 0."""
-        return np.concatenate([[0.0], np.cumsum(self._durations)])
+        return _boundaries(self._durations)
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,11 @@ class LindbladParams:
         for name, rate in (("gamma", self.gamma), ("gamma_phi", self.gamma_phi)):
             if not (rate >= 0 and math.isfinite(rate)):
                 raise ValueError(f"{name} must be finite and >= 0, got {rate}")
+
+
+def _boundaries(durations) -> np.ndarray:
+    """0 and the segment end times, each summed left to right."""
+    return np.concatenate([[0.0], np.cumsum(durations)])
 
 
 def _checked_durations(durations) -> np.ndarray:
@@ -303,7 +308,7 @@ def _sample(durations, v0, times, exponential) -> np.ndarray:
     put back in the order of ``times`` only if it differs."""
     times = np.asarray(times, dtype=float)
     n = len(durations)
-    bounds = np.concatenate([[0.0], np.cumsum(durations)])
+    bounds = _boundaries(durations)
     seg = np.searchsorted(bounds[1:] + BOUNDARY_TOL, times)
     order = np.argsort(seg, kind="stable")  # segment by segment, past the end last
     m = int(np.count_nonzero(seg < n))
@@ -348,9 +353,8 @@ def sample_states(hams, durations, psi0, times) -> np.ndarray:
 def _sample_grid(schedule: Schedule, sample_dt: float) -> np.ndarray:
     if sample_dt <= 0:
         raise ValueError(f"sample_dt must be > 0, got {sample_dt}")
-    total = schedule.total_duration
-    uniform = np.arange(0.0, total, sample_dt)
-    return np.union1d(np.append(uniform, total), schedule.boundaries())
+    bounds = schedule.boundaries()
+    return np.union1d(np.arange(0.0, bounds[-1], sample_dt), bounds)
 
 
 def evolve_state(schedule: Schedule, psi0, sample_dt: float) -> Trajectory:

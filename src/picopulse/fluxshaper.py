@@ -194,10 +194,6 @@ class Waveform:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(len(self.samples))
 
-    @property
-    def duration(self) -> float:
-        return self.dt * len(self.samples)
-
 
 @dataclass(frozen=True)
 class LJJResult:
@@ -445,7 +441,7 @@ CHARGE_DRIFT_MAX = 0.5
 
 
 def shape_control_pulse(ljj: LJJConfig, amp: InterferometerConfig,
-                        energy_scale: float, time_scale: float = 1.0) -> Waveform:
+                        energy_scale: float = 1.0, time_scale: float = 1.0) -> Waveform:
     """Full pipeline: fluxon -> loop flux -> amplitude stage -> drive waveform.
 
     ``energy_scale`` converts the normalized output current into an angular
@@ -535,7 +531,6 @@ def waveform_segments(wave: Waveform, max_segments: int = 150) -> list[tuple[flo
 
 @dataclass(frozen=True)
 class DemoResult:
-    target: str
     fidelity: float
     params: np.ndarray          # (scale1, scale2, tail duration)
     converged: bool
@@ -587,14 +582,14 @@ def end_to_end_demo(target: str, delta: float = math.tau * 0.25, j: float = 0.3,
     goal = target_state(target)
     ljj = ljj or LJJConfig()
     amp = amp or InterferometerConfig()
-    wave = shape_control_pulse(ljj, amp, energy_scale=1.0, time_scale=time_scale)
+    wave = shape_control_pulse(ljj, amp, time_scale=time_scale)
     pairs = waveform_segments(wave, max_segments=max_segments)
     if not pairs:
         raise RuntimeError("shaped waveform is null; check the amplitude stage config")
-    signed_area = sum(d * v for d, v in pairs)
     n = len(pairs)
     durations = np.array([d for d, _ in pairs] * 2 + [0.0])
     values = np.array([v for _, v in pairs])
+    signed_area = float(np.cumsum(durations[:n] * values)[-1])  # left to right
 
     def build(p: np.ndarray) -> Schedule:
         # qubit 1 driven by the shaped pulse, then qubit 2, coupling on; then a free tail
@@ -621,7 +616,6 @@ def end_to_end_demo(target: str, delta: float = math.tau * 0.25, j: float = 0.3,
     schedule = build(params)
     trajectory = evolve_state(schedule, np.array([1, 0, 0, 0], dtype=complex),
                               schedule.total_duration / 200.0)
-    return DemoResult(target=target, fidelity=result.fidelity, params=params,
-                      converged=result.converged, iterations=result.iterations,
-                      schedule=schedule, waveform=wave,
+    return DemoResult(fidelity=result.fidelity, params=params, converged=result.converged,
+                      iterations=result.iterations, schedule=schedule, waveform=wave,
                       trajectory=trajectory)

@@ -79,12 +79,6 @@ class SweepGrid:
     values: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.values.shape != (self.axis1.count, self.axis2.count):
-            raise ValueError("grid shape does not match axes")
-        if np.any(self.values < -GRID_TOL) or np.any(self.values > 1.0 + GRID_TOL):
-            raise ValueError("grid values must lie in [0, 1]")
-
 
 @dataclass(frozen=True)
 class CalibrationResult:

@@ -297,6 +297,16 @@ def test_demo_command(tmp_path):
     assert np.allclose(rows[:, 1:].sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_demo_leaves_delta_and_j_to_the_library(tmp_path):
+    """A config giving only the target runs ``end_to_end_demo``'s own defaults."""
+    rc, out = run(tmp_path, "demo", {"target": "inversion"}, name="demo_defaults.json")
+    assert rc == 0
+    result = fluxshaper.end_to_end_demo("inversion")
+    assert json.loads((out / "demo.json").read_text()) == {
+        "params": result.params.tolist(), "fidelity": result.fidelity,
+        "iterations": result.iterations, "converged": result.converged, "target": "inversion"}
+
+
 def test_diverging_amplitude_stage_exits_3_without_warnings(tmp_path, capsys):
     cfg = {"ljj": {"i_b": 0.2}, "amp": {"ic1": 0.7, "inductance": 1e-5}}
     with warnings.catch_warnings():
@@ -1002,6 +1012,50 @@ def test_shaped_demo_template_is_gone(tmp_path, capsys, recwarn):
     assert rc == 2
     assert_one_error_line(capsys, recwarn, "template type")
     assert not (out / "manifest.json").exists()
+
+
+def wrote_nothing(out):
+    return not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,config,message", [
+    ("sweep", dict(SWEEP_CFG, axis1=[0.5, 20.0]), "error: axis1 must be a JSON object"),
+    ("calibrate", dict(CAL_CFG, target={"kind": "unitary", "name": "flip"}),
+     "error: unsupported target kind 'unitary'"),
+    ("calibrate", dict(CAL_CFG, target={"kind": "state"}),
+     "error: missing field 'vector' in target"),
+    ("demo", {"target": "bell"}, "error: unknown demo target 'bell'"),
+], ids=["nested-field-not-an-object", "target-kind", "target-without-name-or-vector",
+        "demo-target"])
+def test_config_refusals_exit_2_and_write_nothing(tmp_path, capsys, recwarn, monkeypatch,
+                                                  command, config, message):
+    monkeypatch.setattr(protocols, "calibrate_pulse", no_solve)
+    monkeypatch.setattr(fluxshaper, "end_to_end_demo", no_solve)
+    rc, out = run(tmp_path, command, config, name="refused.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, message)
+    assert wrote_nothing(out)
+
+
+@pytest.mark.parametrize("threads,config,message", [
+    ("two", SWEEP_CFG, "error: PICOPULSE_THREADS = 'two' is not an integer"),
+    ("0", SWEEP_CFG, "error: thread count must be >= 1"),
+    (None, None, "error: config file not found"),
+    (None, [SWEEP_CFG], "error: config must be a JSON object"),
+], ids=["threads-not-an-integer", "threads-below-1", "missing-config", "config-not-an-object"])
+def test_run_refusals_exit_2_and_write_nothing(tmp_path, capsys, recwarn, monkeypatch,
+                                               threads, config, message):
+    if threads is None:
+        monkeypatch.delenv("PICOPULSE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PICOPULSE_THREADS", threads)
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    rc = main(["sweep", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, message)
+    assert wrote_nothing(out)
 
 
 # one repr per distinct value: signed zeros, NaN payloads, subnormals, the layout

@@ -6,8 +6,9 @@ NaN, +-inf, -1, 0, 5e-324, 1e6, 1e30 or 1e308.  Every run must exit 0 with
 finite outputs (grid cells, W and fidelities in [0, 1]), or exit 2 or 3; none
 may raise, and the suite turns a RuntimeWarning into an error.  The ``shape``
 case sets every ``LJJConfig`` and ``InterferometerConfig`` field on a 16-long
-junction, whose solve takes ~0.02 s.  ``demo`` is left to its own tests: it
-always solves the default junction and calibrates a 239-segment schedule.
+junction, whose solve takes ~0.02 s.  The ``demo`` case varies ``delta`` and ``j``
+only, so each run solves the default junction once; the ``inversion`` seed already
+meets the target, so most runs calibrate with one propagation.
 """
 
 import json
@@ -47,6 +48,7 @@ CASES = {
                                 "absorber_alpha": 2.0, "t_max": 100.0},
                         "amp": {"ic1": 0.7, "alpha_j": 3.0, "inductance": 0.2},
                         "energy_scale": 1.0, "time_scale": 1.0, "bias_sweep": [0.3]}),
+    "demo": ("demo", {"target": "inversion", "delta": 0.25, "j": 0.05}),
 }
 
 NUMBERS = [math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e6, 1e30, 1e308]
@@ -89,7 +91,7 @@ def output_problems(out):
         elif path.name == "summary.json":
             values = np.array(list(json.loads(path.read_text()).values()), dtype=float)
             probabilities = values[:0]
-        elif path.name == "calibration.json":
+        elif path.name in ("calibration.json", "demo.json"):
             payload = json.loads(path.read_text())
             values = np.array(payload["params"] + [payload["fidelity"]])
             probabilities = values[-1:]
@@ -123,4 +125,5 @@ def test_edge_values_exit_cleanly(tmp_path, capsys, case):
         elif rc not in (2, 3):
             failures.append(f"{where}: exit {rc}")
     capsys.readouterr()
-    assert len(runs) > 40 and not failures, "\n".join(failures)
+    # demo has two numeric leaves, 18 runs; every other case makes more than 40
+    assert len(runs) > (17 if case == "demo" else 40) and not failures, "\n".join(failures)
