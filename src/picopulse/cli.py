@@ -10,16 +10,16 @@ traceback to the shell.
 Every config field a subcommand reads is listed once, with its unit, in the
 schemas below.  ``FREQ`` fields are frequencies and decay rates (GHz under the
 default ``cyclic-ghz`` convention, multiplied by 2*pi on reading; rad/ns and
-1/ns under ``angular``), ``TIME`` fields are times (ps or ns), and any other
-entry names the type of a unitless value.  :class:`Items` is a list of any
-length whose entries share one unit, and a ``complex`` entry is a number or an
-``[re, im]`` pair.  Neither a bool nor a string is a number in any numeric
-field.  A sweep's
-axis1 is a frequency and its axis2 a time in every kind; the axis ``name`` only
-labels the CSV.  An :class:`Opt` field left out is not passed on, so the library
-call takes its own default.  Any other missing field, or an unknown key, at any
-depth, is a config error.  Outputs, and the numbers in library errors, are in
-rad/ns and ns.
+1/ns under ``angular``), ``TIME`` fields are times (ps or ns), a ``LABEL`` is a
+string written into a CSV, and any other entry names the type of a unitless
+value.  :class:`Items` is a list of any length whose entries share one unit,
+and a ``complex`` entry is a number or an ``[re, im]`` pair.  Neither a bool
+nor a string is a number in any numeric field, and only a string is a string.
+A sweep's axis1 is a frequency and its axis2 a time in every kind; the axis
+``name`` only labels the CSV.  An :class:`Opt` field left out is not passed
+on, so the library call takes its own default.  Any other missing field, or an
+unknown key, at any depth, is a config error.  Outputs, and the numbers in
+library errors, are in rad/ns and ns.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ class ConfigError(ValueError):
 
 FREQ = "frequency"
 TIME = "time"
+LABEL = "label"  # a string written into a CSV's header or comments
 
 # --convention -> the factor each unit is multiplied by on reading: GHz to rad/ns, ps to ns
 _SCALES = {"cyclic-ghz": {FREQ: math.tau, TIME: 1e-3}, "angular": {FREQ: 1.0, TIME: 1.0}}
@@ -66,8 +67,8 @@ class Items:
     unit: object
 
 
-_AXIS1 = {"name": str, "start": FREQ, "stop": FREQ, "count": int}
-_AXIS2 = {"name": str, "start": TIME, "stop": TIME, "count": int}
+_AXIS1 = {"name": LABEL, "start": FREQ, "stop": FREQ, "count": int}
+_AXIS2 = {"name": LABEL, "start": TIME, "stop": TIME, "count": int}
 
 _OBSERVABLE = {"observable": Opt(int)}
 # sweep kind -> (runner, fixed fields, further fields); only the qubit kinds pick an observable
@@ -146,6 +147,14 @@ def _convert(value, unit, scale: dict, where: str):
                 _number(value.get(f.name), f"{where}.{f.name}")
     elif unit in (FREQ, TIME, float, int):
         _number(value, where)
+    elif unit in (str, LABEL):
+        if not isinstance(value, str):
+            raise ConfigError(f"invalid {where}: expected a string, got {value!r}")
+        # a comma splits a CSV field, a line break a line, and a leading '#' makes a comment
+        if unit == LABEL and ("," in value or not value.isprintable() or value.startswith("#")):
+            raise ConfigError(f"invalid {where}: {value!r} holds a comma or a non-printable "
+                              "character, or starts with '#'")
+        return value
     try:
         if unit in (FREQ, TIME):
             return scale[unit] * float(value)
@@ -476,11 +485,9 @@ def cmd_calibrate(config: dict, out: Path, scale: dict) -> tuple[list[Path], dic
     return [_write_json(out / "calibration.json", _calibration_json(result))], {}
 
 
-def _fluxon_health(meta: dict, ljj) -> dict:
+def _fluxon_health(meta: dict) -> dict:
     """The manifest's fluxon health, never written to the hashed outputs."""
-    from .fluxshaper import power_balance_velocity
-    return {"velocity": meta["velocity"], "charge_drift": meta["charge_drift"],
-            "power_balance_velocity": power_balance_velocity(ljj.i_b, ljj.alpha)}
+    return {k: meta[k] for k in ("velocity", "charge_drift", "power_balance_velocity")}
 
 
 def cmd_shape(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
@@ -502,8 +509,7 @@ def cmd_shape(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
                "peak": fluxshaper.peak_amplitude(wave), "samples": len(wave.samples),
                "velocity": wave.meta["velocity"], "charge_drift": wave.meta["charge_drift"]}
     path = out / "waveform.csv"
-    _write_csv(path, [f"stage = {wave.meta.get('stage')}",
-                      f"config = {wave.meta.get('config')}"],
+    _write_csv(path, [f"stage = {wave.meta['stage']}", f"config = {wave.meta['config']}"],
                ["t", "value"], np.column_stack([wave.times, wave.samples]))
     written = [path, _write_json(out / "summary.json", summary)]
 
@@ -513,7 +519,7 @@ def cmd_shape(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
         _write_csv(dpath, ["plateau duration of the loop-flux pulse"],
                    ["i_b", "duration"], rows)
         written.append(dpath)
-    return written, {"health": _fluxon_health(wave.meta, ljj)}
+    return written, {"health": _fluxon_health(wave.meta)}
 
 
 def cmd_demo(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
@@ -522,8 +528,7 @@ def cmd_demo(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
     name = cfg["target"]
     if name not in ("inversion", "entangled"):
         raise ConfigError(f"unknown demo target {name!r}")
-    ljj = fluxshaper.LJJConfig()
-    result = fluxshaper.end_to_end_demo(name, ljj=ljj, **_given(cfg, "delta", "j"))
+    result = fluxshaper.end_to_end_demo(name, **_given(cfg, "delta", "j"))
     written = [_write_json(out / "demo.json", _calibration_json(result, target=name))]
 
     traj = result.trajectory
@@ -533,7 +538,7 @@ def cmd_demo(config: dict, out: Path, scale: dict) -> tuple[list[Path], dict]:
                ["t", "p_dd", "p_ud", "p_du", "p_uu"],
                np.column_stack([traj.times, pops]))
     written.append(tpath)
-    return written, {"health": _fluxon_health(result.waveform.meta, ljj)}
+    return written, {"health": _fluxon_health(result.waveform.meta)}
 
 
 # ---------------------------------------------------------------------------

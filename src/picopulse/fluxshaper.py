@@ -367,8 +367,7 @@ def loop_flux_waveform(result: LJJResult, cfg: LJJConfig) -> Waveform:
     samples = result.taps[:, 0] - result.taps[:, 1]
     samples = samples - samples[0]
     dt = float(result.times[1] - result.times[0]) if len(result.times) > 1 else cfg.step
-    return Waveform(dt=dt, samples=samples,
-                    meta={"stage": "loop-flux", "config": _config_hash(cfg)})
+    return Waveform(dt=dt, samples=samples)
 
 
 def plateau_duration(wave: Waveform, level: float = 0.5) -> float:
@@ -425,9 +424,7 @@ def simulate_amplitude_stage(wave: Waveform, cfg: InterferometerConfig) -> Wavef
                 raise RuntimeError(f"amplitude stage diverged at sample {i}")
     except ValueError:  # math.sin(inf) raises: a phase overflowed during sample i
         raise RuntimeError(f"amplitude stage diverged at sample {i}") from None
-    return Waveform(dt=wave.dt, samples=np.array(diffs) / inductance,
-                    meta={"stage": "amplitude", "config": _config_hash(cfg),
-                          "input": wave.meta.get("config", "")})
+    return Waveform(dt=wave.dt, samples=np.array(diffs) / inductance)
 
 
 def peak_amplitude(wave: Waveform) -> float:
@@ -452,6 +449,7 @@ def shape_control_pulse(ljj: LJJConfig, amp: InterferometerConfig,
     and ``charge_drift`` from the LJJ solve are handed out in ``meta``; a
     non-finite one, a drift past :data:`CHARGE_DRIFT_MAX` or a velocity
     outside (0, 1) raises ``ArithmeticError`` before the amplitude stage.
+    ``meta`` also holds ``power_balance_velocity``, the velocity's oracle.
     """
     for name, scale in (("energy_scale", energy_scale), ("time_scale", time_scale)):
         if not (scale > 0 and math.isfinite(scale)):
@@ -473,8 +471,8 @@ def shape_control_pulse(ljj: LJJConfig, amp: InterferometerConfig,
         raise ValueError(f"time_scale = {time_scale} puts the sample period at {dt} ns")
     return Waveform(dt=dt, samples=energy_scale * current.samples,
                     meta={"stage": "control", "config": _config_hash(ljj, amp),
-                          "energy_scale": energy_scale, "time_scale": time_scale,
-                          "velocity": result.velocity, "charge_drift": result.charge_drift})
+                          "velocity": result.velocity, "charge_drift": result.charge_drift,
+                          "power_balance_velocity": power_balance_velocity(ljj.i_b, ljj.alpha)})
 
 
 def duration_vs_bias(template: LJJConfig, biases) -> np.ndarray:

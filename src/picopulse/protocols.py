@@ -329,7 +329,8 @@ _HESS_STEP = 1e-4  # gradient-difference step for the starting Hessian, in box w
 
 
 class _Infidelity:
-    """``1 - F`` of a template's schedules against a target, and its adjoint gradient.
+    """``1 - F`` of a template's schedules against a target, on the parameter box
+    ``[lo, hi]``, and its adjoint gradient; ``evals`` counts the rows propagated.
 
     A target is taken as ``m`` (initial, goal) state pairs: the first ``m``
     basis states and the rows of ``goals (m, d)``, with ``F = |sum_k <g_k|U|k>|^2 / m^2``.
@@ -337,7 +338,7 @@ class _Infidelity:
     ``d`` pairs, the columns of ``G``, which gives ``|Tr(G^dag U)|^2 / d^2``.
     """
 
-    def __init__(self, target, template):
+    def __init__(self, target, template, lo, hi):
         kind, goal = target
         if kind == "state":
             self.goals = check_state(goal)[None]
@@ -346,6 +347,7 @@ class _Infidelity:
         else:
             raise ValueError(f"unknown target kind {kind!r}")
         self.template, self.layout = template, None
+        self.lo, self.hi, self.evals = lo, hi, 0
 
     def schedule(self, p) -> Schedule:
         """The template's schedule at ``p``, which must keep the first one's layout."""
@@ -361,26 +363,20 @@ class _Infidelity:
                              f"{self.layout} to {layout}; it must not depend on the parameters")
         return schedule
 
-    def values(self, rows) -> np.ndarray:
-        """Infidelities at each row of parameters, from one forward pass."""
-        return self._forward(rows)[0]
-
-    def at(self, p, lo, hi):
-        """``(values([p])[0], gradient)``, where ``gradient()`` gives ``d(1 - F)/dp`` from the
-        same pass (GRAPE adjoint: Khaneja et al., J. Magn. Reson. 172, 296 (2005)).
+    def __call__(self, rows):
+        """Infidelities at each row of parameters, from one forward pass, and
+        ``gradient()``, which gives ``d(1 - F)/dx`` at the first row on the unit box
+        ``x = (p - lo) / (hi - lo)`` from the same pass (GRAPE adjoint: Khaneja et al.,
+        J. Magn. Reson. 172, 296 (2005)).
 
         Segment ``k`` contributes ``<lambda_k+1| dU_k |psi_k>`` from the forward states
         ``psi`` and backward costates ``lambda``.  In its eigenbasis ``dU_k`` is the
         divided differences of ``exp(-i lambda t)`` times ``V^dag dH V``, plus
         ``-i H U dt`` (Machnes et al., PRA 84, 022305 (2011)).  ``dH/dp`` and ``dt/dp``
-        difference the template at ``p`` and a step into the box ``[lo, hi]``, which is
-        exact to rounding for a template affine in its parameters.
+        difference the template at ``p`` and a step into the box, which is exact to
+        rounding for a template affine in its parameters.
         """
-        values, gradient = self._forward([p])
-        return values[0], lambda: gradient(lo, hi)
-
-    def _forward(self, rows):
-        """Infidelities at each row of parameters, and ``gradient(lo, hi)`` at the first."""
+        self.evals += len(rows)
         schedules = [self.schedule(p) for p in rows]
         hams = np.array([s.hamiltonians() for s in schedules])
         durations = np.array([s.durations() for s in schedules])
@@ -390,8 +386,9 @@ class _Infidelity:
         states = _boundary_states(steps, np.eye(d)[:, :m])  # (rows, n_seg + 1, d, m)
         overlaps = np.einsum("rik,ki->r", states[:, -1], self.goals.conj()) / m
 
-        def gradient(lo, hi) -> np.ndarray:
+        def gradient() -> np.ndarray:
             p, ham, dur, val, vec = rows[0], hams[0], durations[0], vals[0], vecs[0]
+            lo, hi = self.lo, self.hi
             costates = _boundary_states(steps[0, ::-1].conj().swapaxes(-1, -2), self.goals.T)[::-1]
             outer = costates[1:].conj() @ states[0, :-1].swapaxes(-1, -2)
             c = vec.swapaxes(-1, -2) @ outer @ vec.conj()  # (V^dag psi lambda^dag V)^T
@@ -410,7 +407,7 @@ class _Infidelity:
                 dover = (np.vdot(dham.conj(), moved.hamiltonians() - ham)
                          + ddur @ (moved.durations() - dur)) / (h * m)
                 grad[i] = -2.0 * (overlaps[0].conjugate() * dover).real
-            return grad
+            return _finite("gradient", np.multiply, grad, hi - lo)
 
         return 1.0 - np.abs(overlaps) ** 2, gradient
 
@@ -454,46 +451,39 @@ def calibrate_pulse(target, template, bounds, seed, tol: float = 1e-4,
     optimizer's internal value.
     """
     lo, hi, params = _checked_inputs(bounds, seed, tol, budget)
-    objective = _Infidelity(target, template)
-    width = hi - lo
-    evals = 0
+    objective = _Infidelity(target, template, lo, hi)
 
-    def evaluate(p):  # 1 - F and its gradient on the unit box, at p
-        nonlocal evals
-        evals += 1
-        value, gradient = objective.at(p, lo, hi)
-        return value, lambda: _finite("gradient", np.multiply, gradient(), width)
-
-    def scaled(x):  # the objective on the unit box
-        return evaluate(np.clip(lo + width * x, lo, hi))
+    def at(x):  # the objective at one point of the unit box
+        values, gradient = objective(np.clip(lo + (hi - lo) * x, lo, hi)[None])
+        return values[0], gradient
 
     if budget:
-        best, gradient = evaluate(params)
+        (best,), gradient = objective(params[None])
         # coarse scan keeps the oscillatory objective from trapping the local search
         # in a secondary minimum
         for i in range(len(params)):
-            if best <= tol * 0.1 or evals + _COARSE_POINTS > budget:
+            if best <= tol * 0.1 or objective.evals + _COARSE_POINTS > budget:
                 break
             rows = np.repeat(params[None], _COARSE_POINTS, axis=0)
             rows[:, i] = np.linspace(lo[i], hi[i], _COARSE_POINTS)
             try:
-                values = objective.values(rows)
+                values = objective(rows)[0]
             except ArithmeticError as exc:
                 raise ArithmeticError(f"the coarse scan over bounds[{i}]: {exc}") from exc
-            evals += _COARSE_POINTS
             k = int(np.argmin(values))
             if values[k] < best:
                 best, params, gradient = values[k], rows[k], None
-        if best > tol * 0.1 and gradient is None and evals < budget:
-            best, gradient = evaluate(params)
+        if best > tol * 0.1 and gradient is None and objective.evals < budget:
+            (best,), gradient = objective(params[None])
         if best > tol * 0.1 and gradient is not None:
-            x = _projected_bfgs(scaled, (params - lo) / width, best, gradient(), tol,
-                                lambda: evals < budget)
-            params = np.clip(lo + width * x, lo, hi)
+            x = _projected_bfgs(at, (params - lo) / (hi - lo), best, gradient(), tol,
+                                lambda: objective.evals < budget)
+            params = np.clip(lo + (hi - lo) * x, lo, hi)
 
     rounded = np.array([float(f"{p:.12g}") for p in params])
-    achieved = 1.0 - float(objective.values(rounded[None])[0])
-    return CalibrationResult(params=rounded, fidelity=achieved, iterations=evals,
+    iterations = objective.evals  # the check at the rounded parameters is not counted
+    achieved = 1.0 - float(objective(rounded[None])[0][0])
+    return CalibrationResult(params=rounded, fidelity=achieved, iterations=iterations,
                              converged=bool(1.0 - achieved <= tol))
 
 

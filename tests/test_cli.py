@@ -1146,3 +1146,52 @@ def test_ljj_solve_holds_no_phase_field_history(stage):
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+@pytest.mark.parametrize("axis,name", [
+    ("axis1", "a,b"), ("axis1", "a\nb"), ("axis2", "a\nb"), ("axis1", "a\rb"),
+    ("axis1", "#a"), ("axis2", "#t"), ("axis2", "t\x0b"), ("axis1", 5), ("axis2", None),
+], ids=["comma", "newline-1", "newline-2", "carriage-return", "hash-1", "hash-2",
+        "vertical-tab", "number", "null"])
+def test_axis_names_that_would_corrupt_the_csv_exit_2(tmp_path, capsys, recwarn, axis, name):
+    """A comma would widen the header past the rows, a line break would leave an
+    uncommented line, and a leading '#' would turn the header into a comment."""
+    cfg = dict(SWEEP_CFG, **{axis: dict(SWEEP_CFG[axis], name=name)})
+    rc, out = run(tmp_path, "sweep", cfg, name="axis_name.json")
+    assert rc == 2
+    assert_one_error_line(capsys, recwarn, f"error: invalid {axis}.name: ")
+    assert wrote_nothing(out)
+
+
+@pytest.mark.parametrize("name", ["amplitude", "tau", "time", "tau2", "j", "", "a b; c=d #"])
+def test_axis_names_label_the_csv(tmp_path, name):
+    cfg = dict(SWEEP_CFG, axis1=dict(SWEEP_CFG["axis1"], name=name),
+               axis2=dict(SWEEP_CFG["axis2"], name=name))
+    rc, out = run(tmp_path, "sweep", cfg, name="label.json")
+    assert rc == 0
+    lines = (out / "grid.csv").read_text().splitlines()
+    assert lines[0] == f"# axis1 = {name}; axis2 = {name}"
+    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert header[0] == name and len(rows) == 6
+    assert {len(row) for row in rows} == {len(header)}
+
+
+def test_demo_health_is_the_shaped_pulse_meta(tmp_path, monkeypatch):
+    """``demo`` leaves the junction to the library and copies the health it reports."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        result = demo(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    demo = fluxshaper.end_to_end_demo
+    monkeypatch.setattr(fluxshaper, "end_to_end_demo", recorded)
+    rc, out = run(tmp_path, "demo", {"target": "inversion", "delta": 0.25, "j": 0.05},
+                  name="demo_owner.json")
+    assert rc == 0
+    [(args, kwargs, result)] = calls
+    assert args == ("inversion",) and sorted(kwargs) == ["delta", "j"]
+    health = json.loads((out / "manifest.json").read_text())["health"]
+    meta = result.waveform.meta
+    assert health == {k: meta[k] for k in ("velocity", "charge_drift", "power_balance_velocity")}

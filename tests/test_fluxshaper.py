@@ -490,3 +490,21 @@ def test_energy_scale_must_be_finite_and_positive_before_the_solve(monkeypatch, 
     monkeypatch.setattr(fs, "simulate_ljj_fluxon", no_solve)
     with pytest.raises(ValueError, match="energy_scale must be finite and > 0"):
         fs.shape_control_pulse(fs.LJJConfig(), fs.InterferometerConfig(), energy_scale=value)
+
+
+def test_shaped_pulse_carries_its_fluxon_health(monkeypatch):
+    """The control waveform hands out the power-balance oracle at its own junction's
+    bias and damping; the loop flux and the amplitude stage carry no meta."""
+    ljj = fs.LJJConfig(i_b=0.3, alpha=0.1, length=16, dx=0.2, dt=0.05, x1=3, x2=9,
+                       kink_position=2)
+    stages = []
+    for name in ("loop_flux_waveform", "simulate_amplitude_stage"):
+        def kept(*args, stage=getattr(fs, name)):
+            stages.append(stage(*args))
+            return stages[-1]
+        monkeypatch.setattr(fs, name, kept)
+    wave = fs.shape_control_pulse(ljj, fs.InterferometerConfig())
+    assert wave.meta["power_balance_velocity"] == fs.power_balance_velocity(0.3, 0.1)
+    assert sorted(wave.meta) == ["charge_drift", "config", "power_balance_velocity",
+                                 "stage", "velocity"]
+    assert len(stages) == 2 and all(stage.meta == {} for stage in stages)

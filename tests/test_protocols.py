@@ -248,19 +248,20 @@ def random_unitary(d, seed):
     (("state", GOAL4), three_stage_template, [(0.01, 0.2), (5.0, 80.0)], [0.07, 30.0]),
 ], ids=["state-2", "unitary-2", "state-4", "unitary-4", "unitary-4-at-bounds", "three-stage"])
 def test_adjoint_gradient_matches_central_differences(target, template, bounds, p):
-    objective = protocols._Infidelity(target, template)
     lo, hi = np.array(bounds).T
+    objective = protocols._Infidelity(target, template, lo, hi)
     p = np.array(p)
-    value, gradient = objective.at(p, lo, hi)
-    assert value == objective.values([p])[0]
+    values, gradient = objective([p])
+    assert values[0] == objective([p])[0][0]
     numeric = []
     for i in range(len(p)):
         h = np.zeros(len(p))
         h[i] = 1e-6 * (hi[i] - lo[i])
-        numeric.append((objective.values([p + h])[0] - objective.values([p - h])[0])
-                       / (2 * h[i]))
+        numeric.append((objective([p + h])[0][0] - objective([p - h])[0][0]) / (2 * h[i]))
     assert np.all(np.abs(numeric) > 1e-5)  # every parameter moves the fidelity
-    assert np.allclose(gradient(), numeric, rtol=1e-6, atol=0.0)
+    # gradient() is taken on the unit box, x = (p - lo) / (hi - lo)
+    assert np.allclose(gradient() / (hi - lo), numeric, rtol=1e-6, atol=0.0)
+    assert objective.evals == 2 + 2 * len(p)
 
 
 def test_calibrate_input_validation():
