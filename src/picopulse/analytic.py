@@ -52,6 +52,8 @@ class RabiPulse:
     duration: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.amplitude, self.carrier, self.duration)):
+            raise ValueError("pulse parameters must be finite")
         if self.duration < 0:
             raise ValueError(f"pulse duration must be >= 0, got {self.duration}")
         if self.carrier < 0:
@@ -68,6 +70,8 @@ class PulsePair:
     amplitude: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.tau1, self.tau2, self.tau_r, self.amplitude)):
+            raise ValueError("pulse parameters must be finite")
         if min(self.tau1, self.tau2, self.tau_r) < 0:
             raise ValueError("all durations must be >= 0")
 
@@ -81,14 +85,6 @@ def _rotation_unitary(zcoef: float, xcoef: float, tau: float) -> np.ndarray:
         sinc = math.sin(r) / r
     gen = -0.5 * tau * (zcoef * SZ + xcoef * SX)  # = H * tau
     return math.cos(r) * ID2 - 1j * sinc * gen
-
-
-def rotating_frame_hamiltonian(delta: float, omega: float, amplitude: float) -> np.ndarray:
-    """RWA Hamiltonian ``-1/2 ((Delta - omega) sigma_z + (A/2) sigma_x)``."""
-    for name, v in (("delta", delta), ("omega", omega), ("amplitude", amplitude)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite")
-    return -0.5 * ((delta - omega) * SZ + 0.5 * amplitude * SX)
 
 
 def rabi_unitary_rwa(p: RabiPulse, delta: float) -> np.ndarray:
@@ -141,16 +137,10 @@ def free_evolution_unitary(duration: float, phase_rate: float) -> np.ndarray:
     diagonal is ``(e^{+i rate t/2}, e^{-i rate t/2})``, which is the sign the
     lab-frame propagation with eps = 0 produces.
     """
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
+    if not (duration >= 0 and math.isfinite(duration)):
+        raise ValueError(f"duration must be finite and >= 0, got {duration}")
     phase = 0.5 * phase_rate * duration
     return np.diag([np.exp(1j * phase), np.exp(-1j * phase)])
-
-
-def ramsey_probability_rabi(p: RabiPulse, delta: float, tau_r: float) -> float:
-    """Two-pulse near-resonance flip probability ``1/2 sin^2(Omega_R tau)(1 + cos((Delta-omega) tau_R))``."""
-    omega_r = math.hypot(delta - p.carrier, 0.5 * p.amplitude)
-    return 0.5 * math.sin(omega_r * p.duration) ** 2 * (1.0 + math.cos((delta - p.carrier) * tau_r))
 
 
 def ramsey_probability_unipolar(pair: PulsePair, delta: float) -> float:
@@ -170,8 +160,8 @@ def ramsey_probabilities_unipolar(amplitude: float, tau: float, tau_r_values,
     """:func:`ramsey_probability_unipolar` at every delay of ``tau_r_values``, for two
     pulses of duration ``tau``, as one array expression."""
     tau_r = np.asarray(tau_r_values, dtype=float)
-    if tau < 0 or np.any(tau_r < 0):
-        raise ValueError("all durations must be >= 0")
+    if not (tau >= 0 and math.isfinite(tau) and np.all(tau_r >= 0) and np.isfinite(tau_r).all()):
+        raise ValueError("all durations must be finite and >= 0")
     return _ramsey_unipolar(amplitude, tau, tau_r, delta)
 
 
@@ -196,8 +186,5 @@ def compose_pulse_sequence(elements, delta: float) -> np.ndarray:
         if isinstance(el, RectPulse):
             u = unipolar_unitary(el, delta) @ u
         else:
-            gap = float(el)
-            if gap < 0:
-                raise ValueError(f"gap duration must be >= 0, got {gap}")
-            u = free_evolution_unitary(gap, delta) @ u
+            u = free_evolution_unitary(float(el), delta) @ u
     return u

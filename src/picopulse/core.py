@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
@@ -127,36 +126,6 @@ def make_two_qubit_hamiltonian(d1: float, d2: float, e1: float, e2: float,
     on the left Kronecker factor; the overall -1/2 prefactor is kept.
     """
     return hamiltonians((d1, d2, e1, e2, j))
-
-
-def state_fidelity(a, b) -> float:
-    """Overlap fidelity |<a|b>|^2 for normalized states of equal dimension."""
-    a = check_state(a)
-    b = check_state(b)
-    if a.shape != b.shape:
-        raise ValueError(f"state dimensions differ: {a.shape} vs {b.shape}")
-    return float(abs(np.vdot(a, b)) ** 2)
-
-
-def gate_fidelity(u, v) -> float:
-    """Global-phase-invariant gate fidelity |Tr(U^dag V)|^2 / d^2."""
-    u = _as_complex_array(u, "u")
-    v = _as_complex_array(v, "v")
-    if u.shape != v.shape or u.ndim != 2:
-        raise ValueError(f"operator dimensions differ: {u.shape} vs {v.shape}")
-    d = u.shape[0]
-    return float(abs(np.trace(u.conj().T @ v)) ** 2 / d**2)
-
-
-def bloch_vector(psi) -> tuple[float, float, float]:
-    """Bloch components (<sx>, <sy>, <sz>) of a normalized single-qubit state."""
-    psi = check_state(psi)
-    if psi.shape[0] != 2:
-        raise ValueError("bloch_vector requires a dimension-2 state")
-    x = float(np.vdot(psi, SX @ psi).real)
-    y = float(np.vdot(psi, SY @ psi).real)
-    z = float(np.vdot(psi, SZ @ psi).real)
-    return (x, y, z)
 
 
 def hermitian_eigendecomposition(h):

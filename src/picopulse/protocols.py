@@ -1,5 +1,5 @@
-"""Experiment-level scripts: parameter sweeps, delay scans, Bloch trajectories
-and pulse calibration by a quasi-Newton search on exact adjoint gradients.
+"""Experiment-level scripts: parameter sweeps, delay scans and pulse
+calibration by a quasi-Newton search on exact adjoint gradients.
 
 Sweep axes are dimensionless by default (pulse areas and amplitudes in rad/ns
 against times in ns); the CLI layer applies unit conversions.  Every sweep builds
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .core import bloch_vector, check_state, check_unitary
+from .core import check_state, check_unitary
 from .dynamics import (
     LindbladParams,
     Schedule,
@@ -30,7 +30,6 @@ from .dynamics import (
     _checked_durations,
     _superoperator_exponentials,
     _unitary_exponential,
-    evolve_state,
     lindblad_superoperator,
     sample_states,
 )
@@ -285,16 +284,6 @@ def lindblad_ramsey_scan(amplitude: float, delta: float, tau: float,
     return np.column_stack([np.asarray(tau_r_values, dtype=float), finals[:, 1, 1].real])
 
 
-def bloch_trajectory(schedule: Schedule, psi0, sample_dt: float) -> np.ndarray:
-    """Columns (t, x, y, z) of the Bloch vector along a dimension-2 schedule."""
-    traj = evolve_state(schedule, psi0, sample_dt)
-    rows = np.empty((len(traj.times), 4))
-    rows[:, 0] = traj.times
-    for i, psi in enumerate(traj.states):
-        rows[i, 1:] = bloch_vector(psi / np.linalg.norm(psi))
-    return rows
-
-
 def fringe_contrast(values) -> float:
     """(max - min) / (max + min) over a scan window."""
     v = np.asarray(values, dtype=float)
@@ -302,19 +291,6 @@ def fringe_contrast(values) -> float:
     if hi + lo == 0.0:
         return 0.0
     return (hi - lo) / (hi + lo)
-
-
-def peak_positions(x, y) -> np.ndarray:
-    """Quadratically interpolated local-maximum positions of a sampled curve."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    peaks = []
-    for i in range(1, len(y) - 1):
-        if y[i] >= y[i - 1] and y[i] > y[i + 1]:
-            denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-            shift = 0.0 if denom == 0 else 0.5 * (y[i - 1] - y[i + 1]) / denom
-            peaks.append(x[i] + shift * (x[i + 1] - x[i]))
-    return np.array(peaks)
 
 
 # ---------------------------------------------------------------------------

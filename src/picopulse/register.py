@@ -4,9 +4,7 @@ Everything here is derived uniformly from the 4x4 register Hamiltonian built
 by :func:`picopulse.core.make_two_qubit_hamiltonian`, which keeps the overall
 -1/2 prefactor.  Commonly quoted closed forms for the coupler-only problem
 drop that prefactor (their eigenvalues and sine arguments are a factor of 2
-larger); where useful, a ``convention="printed"`` adapter evaluates the
-prefactor-dropped variant so both can be compared against the numeric
-propagator.
+larger); the forms here keep it, as the numeric propagator does.
 
 The coupler kick operators use the sign convention in which the short-kick
 matrix has ``-i g`` on the antidiagonal (g = J tau1 / 2).  Relative to the
@@ -40,8 +38,8 @@ class ThreeStageSpec:
     a2: float
 
     def __post_init__(self):
-        if self.tau1 < 0 or self.tau2 < 0:
-            raise ValueError("stage durations must be >= 0")
+        if not all(v >= 0 and math.isfinite(v) for v in (self.tau1, self.tau2)):
+            raise ValueError("stage durations must be finite and >= 0")
         if not all(math.isfinite(v) for v in (self.j, self.a1, self.a2)):
             raise ValueError("stage parameters must be finite")
 
@@ -77,26 +75,15 @@ def coupler_only_eigensystem(delta: float, j: float):
     return vals, vecs
 
 
-def coupler_flip_probability(delta: float, j: float, tau: float,
-                             convention: str = "derived") -> float:
-    """|dd> -> |uu> probability after switching on the coupler for time tau.
-
-    ``derived`` uses the -1/2-prefactored Hamiltonian,
-    ``W = J^2/(J^2 + 4 Delta^2) sin^2(tau sqrt(J^2 + 4 Delta^2) / 2)``;
-    ``printed`` evaluates the prefactor-dropped variant without the /2 inside
-    the sine.  The numeric propagator agrees with ``derived``.
-    """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+def coupler_flip_probability(delta: float, j: float, tau: float) -> float:
+    """|dd> -> |uu> probability after switching on the coupler for time tau,
+    ``W = J^2/(J^2 + 4 Delta^2) sin^2(tau sqrt(J^2 + 4 Delta^2) / 2)``."""
+    if not (tau >= 0 and math.isfinite(tau)):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
     gap = math.hypot(j, 2.0 * delta)
     if gap == 0.0:
         return 0.0
-    amp2 = (j / gap) ** 2
-    if convention == "derived":
-        return amp2 * math.sin(0.5 * tau * gap) ** 2
-    if convention == "printed":
-        return amp2 * math.sin(tau * gap) ** 2
-    raise ValueError(f"unknown convention {convention!r}")
+    return (j / gap) ** 2 * math.sin(0.5 * tau * gap) ** 2
 
 
 def _evolution(vals, vecs, t: float) -> np.ndarray:
@@ -116,8 +103,8 @@ def coupler_kick_unitary(j: float, tau1: float, first_order: bool = False) -> np
     not exactly unitary (defect O(g^2)) and is rejected for J tau1 > 0.2.
     The exact form is the spectral evolution of the kick Hamiltonian.
     """
-    if tau1 < 0:
-        raise ValueError(f"tau1 must be >= 0, got {tau1}")
+    if not (tau1 >= 0 and math.isfinite(tau1)):
+        raise ValueError(f"tau1 must be finite and >= 0, got {tau1}")
     g = 0.5 * j * tau1
     if first_order:
         area = abs(j * tau1)
@@ -174,8 +161,8 @@ def drive_stage_eigensystem(delta: float, a1: float, a2: float):
 
 def drive_stage_unitary(delta: float, a1: float, a2: float, tau2: float) -> np.ndarray:
     """Evolution operator of the drive stage (both qubits driven, J = 0)."""
-    if tau2 < 0:
-        raise ValueError(f"tau2 must be >= 0, got {tau2}")
+    if not (tau2 >= 0 and math.isfinite(tau2)):
+        raise ValueError(f"tau2 must be finite and >= 0, got {tau2}")
     return _evolution(*drive_stage_eigensystem(delta, a1, a2), tau2)
 
 
@@ -190,28 +177,6 @@ def three_stage_probability(spec: ThreeStageSpec, delta: float) -> float:
     """|dd> -> |uu> probability of the kick/drive/kick protocol (exact kicks)."""
     u = three_stage_unitary(spec, delta)
     return float(abs(u[3, 0]) ** 2)
-
-
-def three_stage_probability_printed(spec: ThreeStageSpec, delta: float) -> float:
-    """Scalar closed form with coefficients D1, D2, D3; diagnostic only.
-
-    The grouping of the outer square in this form is inconsistent with its own
-    small-Delta limit, so the operator composition is the normative result and
-    this value is reported for comparison, never asserted against.
-    """
-    e1 = math.hypot(spec.a1, delta)
-    e2 = math.hypot(spec.a2, delta)
-    jt = spec.j * spec.tau1
-    d1 = 4.0 * e1**2 * e2**2 * jt**2
-    d2 = 4.0 * jt**2 * delta**4 + (-2.0 + jt**2) * spec.a1**2 * spec.a2**2
-    d3 = 2.0 * e1 * e2 * jt**2 * delta**2
-    c1 = math.cos(0.5 * e1 * spec.tau2) ** 2
-    c2 = math.cos(0.5 * e2 * spec.tau2) ** 2
-    s1 = math.sin(0.5 * e1 * spec.tau2) ** 2
-    s2 = math.sin(0.5 * e2 * spec.tau2) ** 2
-    inner = (d1 * c1 * c2 + d2 * s1 * s2
-             - d3 * math.sin(e1 * spec.tau2) * math.sin(e2 * spec.tau2))
-    return inner**2 / (4.0 * e1**2 * e2**2) ** 2
 
 
 def three_stage_probability_asymptotic(spec: ThreeStageSpec, delta: float) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from picopulse import analytic, core
+from picopulse import analytic, core, register
 from picopulse.analytic import PulsePair, RabiPulse, RectPulse
 
 DELTA = 2 * np.pi * 0.25  # rad/ns
@@ -72,11 +72,6 @@ def test_rabi_unitary_matches_probability():
         analytic.rabi_probability_rwa(p, DELTA), abs=1e-14)
 
 
-def test_rotating_frame_hamiltonian_on_resonance():
-    h = analytic.rotating_frame_hamiltonian(DELTA, DELTA, 2.0)
-    assert np.allclose(h, -0.5 * core.SX)  # only the A/2 drive term survives
-
-
 def test_free_evolution_sign_matches_lab_frame():
     # exp(-i H t) with H = -1/2 Delta sz: the |down> component advances
     import scipy.linalg
@@ -107,15 +102,6 @@ def test_ramsey_zero_delay_reduces_to_double_pulse():
     assert w_pair == pytest.approx(w_double, abs=1e-13)
 
 
-def test_ramsey_rabi_fringe_period():
-    # fringes in tau_R oscillate at the detuning
-    det = 0.3
-    p = RabiPulse(amplitude=2.0, carrier=DELTA - det, duration=1.0)
-    w0 = analytic.ramsey_probability_rabi(p, DELTA, 0.0)
-    w1 = analytic.ramsey_probability_rabi(p, DELTA, 2 * np.pi / det)
-    assert w0 == pytest.approx(w1, abs=1e-12)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 50.0), st.floats(0.0, 0.5), st.floats(-10.0, 10.0))
 def test_unipolar_probability_in_unit_interval(a, tau, delta):
@@ -142,3 +128,27 @@ def test_negative_inputs_rejected():
         analytic.free_evolution_unitary(-1.0, DELTA)
     with pytest.raises(ValueError):
         analytic.compose_pulse_sequence([-0.5], DELTA)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: analytic.ramsey_probability_unipolar(PulsePair(NAN, NAN, 0.0, 1.0), 1.0),
+    lambda: analytic.ramsey_probability_unipolar(PulsePair(0.1, 0.1, 0.2, INF), 1.0),
+    lambda: analytic.ramsey_probability_unipolar(PulsePair(0.1, 0.1, INF, 1.0), 1.0),
+    lambda: analytic.rabi_probability_rwa(RabiPulse(1.0, 1.0, NAN), 1.0),
+    lambda: register.three_stage_probability(
+        register.ThreeStageSpec(0.1, INF, 1.0, 1.0, 1.0), 1.0),
+    lambda: register.coupler_flip_probability(0.1, 0.2, NAN),
+    lambda: register.coupler_kick_unitary(1.0, NAN),
+    lambda: register.drive_stage_unitary(0.1, 1.0, 2.0, NAN),
+    lambda: analytic.free_evolution_unitary(INF, 1.0),
+    lambda: analytic.compose_pulse_sequence([NAN], 1.0),
+    lambda: analytic.ramsey_probabilities_unipolar(1.0, 0.1, [0.0, INF], 1.0),
+], ids=["pair-nan-pulses", "pair-inf-amplitude", "pair-inf-delay", "rabi-nan",
+        "three-stage-inf", "coupler-flip-nan", "kick-nan", "drive-nan", "free-inf",
+        "compose-nan", "ramsey-array-inf"])
+def test_closed_forms_refuse_non_finite_durations(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()

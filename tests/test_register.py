@@ -34,16 +34,6 @@ def test_coupler_flip_probability_against_propagator():
             w, abs=1e-12)
 
 
-def test_printed_flip_convention_differs_by_double_angle():
-    tau = 0.9
-    gap = np.hypot(J, 2 * DELTA)
-    w_printed = register.coupler_flip_probability(DELTA, J, tau, convention="printed")
-    w_derived = register.coupler_flip_probability(DELTA, J, 2 * tau)
-    assert w_printed == pytest.approx(w_derived, abs=1e-12)
-    with pytest.raises(ValueError):
-        register.coupler_flip_probability(DELTA, J, tau, convention="bogus")
-
-
 def test_resonant_coupler_full_flip():
     # Delta = 0: complete |dd> <-> |uu> transfer at tau = pi/J
     w = register.coupler_flip_probability(0.0, J, np.pi / J)
@@ -130,19 +120,6 @@ def test_asymptotic_warns_on_large_detuning():
     spec = ThreeStageSpec(tau1=0.01, tau2=0.2, j=J, a1=1.0, a2=1.0)
     with pytest.warns(UserWarning):
         register.three_stage_probability_asymptotic(spec, 0.5)
-
-
-def test_printed_scalar_form_is_diagnostic_only():
-    # the printed scalar's outer grouping squares the whole bracket, which is
-    # inconsistent with the operator composition (and with its own small-Delta
-    # limit); we only require that it evaluates and stays non-negative, and we
-    # record the discrepancy against the normative composition
-    spec = ThreeStageSpec(tau1=0.004 / J, tau2=0.31, j=J, a1=20.0, a2=20.0)
-    w_printed = register.three_stage_probability_printed(spec, 0.0)
-    w_exact = register.three_stage_probability(spec, 0.0)
-    assert w_printed >= 0.0
-    print(f"printed-form discrepancy at Delta=0: printed={w_printed:.6f} "
-          f"composition={w_exact:.6f}")
 
 
 def test_stage_parameter_validation():
